@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"brsmn/internal/obs"
@@ -86,18 +88,71 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // instrument wraps h with per-handler request counting and latency
 // observation. With no registry it returns h unchanged.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	if s.reg == nil {
+		return h
+	}
+	rm := &routeMetrics{reg: s.reg, name: name}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.reg == nil {
-			h(w, r)
-			return
-		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
 		h(sw, r)
-		s.reg.Counter(
-			fmt.Sprintf(`brsmn_http_requests_total{handler=%q,code="%d"}`, name, sw.code),
-			"HTTP requests by handler and status code.").Inc()
-		s.reg.Histogram(`brsmn_http_request_seconds{handler=`+strconv.Quote(name)+`}`,
-			"HTTP request latency by handler.", obs.SecondsBuckets()).ObserveDuration(time.Since(t0))
+		rm.counter(sw.code).Inc()
+		rm.histogram().ObserveDuration(time.Since(t0))
 	}
+}
+
+// routeMetrics holds one route's resolved instruments, so a request
+// costs no series-name formatting and no registry lookup once its
+// status code has been seen. Series are still registered on first use,
+// in the same order as before resolution was cached, so the exposition
+// lists exactly the routes and codes that have been served.
+type routeMetrics struct {
+	reg  *obs.Registry
+	name string
+
+	hist  atomic.Pointer[obs.Histogram]
+	mu    sync.Mutex                    // serializes codes updates
+	codes atomic.Pointer[[]codeCounter] // copy-on-write; a route sees few codes
+}
+
+type codeCounter struct {
+	code int
+	c    *obs.Counter
+}
+
+func (rm *routeMetrics) counter(code int) *obs.Counter {
+	if cs := rm.codes.Load(); cs != nil {
+		for _, cc := range *cs {
+			if cc.code == code {
+				return cc.c
+			}
+		}
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	var cs []codeCounter
+	if p := rm.codes.Load(); p != nil {
+		cs = *p
+	}
+	for _, cc := range cs {
+		if cc.code == code {
+			return cc.c
+		}
+	}
+	c := rm.reg.Counter(
+		fmt.Sprintf(`brsmn_http_requests_total{handler=%q,code="%d"}`, rm.name, code),
+		"HTTP requests by handler and status code.")
+	next := append(cs[:len(cs):len(cs)], codeCounter{code, c})
+	rm.codes.Store(&next)
+	return c
+}
+
+func (rm *routeMetrics) histogram() *obs.Histogram {
+	if h := rm.hist.Load(); h != nil {
+		return h
+	}
+	h := rm.reg.Histogram(`brsmn_http_request_seconds{handler=`+strconv.Quote(rm.name)+`}`,
+		"HTTP request latency by handler.", obs.SecondsBuckets())
+	rm.hist.Store(h)
+	return h
 }

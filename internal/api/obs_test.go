@@ -1,9 +1,11 @@
 package api
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -215,5 +217,73 @@ func TestMalformedJSONBody(t *testing.T) {
 		if e.Code != CodeBadRequest || len(e.Fields) == 0 || e.Fields[0].Field != "body" {
 			t.Errorf("%s: error = %+v, want bad_request with a body field reason", path, e)
 		}
+	}
+}
+
+// TestInstrumentExpositionUnchanged replays a request script through
+// an instrumented server and checks the HTTP series it exposes against
+// a registry fed by the per-request lookups instrumentation used
+// before its instruments were resolved once per route: the same series,
+// in the same order, with the same counts. Latency bucket and sum
+// values depend on timing and are compared by name only.
+func TestInstrumentExpositionUnchanged(t *testing.T) {
+	reg := obs.NewRegistry()
+	gm, err := groupd.NewManager(groupd.Config{N: 16, Engine: rbn.Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gm.Close() })
+	srv := NewServer(rbn.Sequential, gm, nil, WithMetrics(reg))
+	ref := obs.NewRegistry()
+
+	script := []struct {
+		method, path, body string
+		handler            string
+		code               int
+	}{
+		{"GET", "/v1/healthz", "", "healthz", 200},
+		{"POST", "/v1/groups", `{"id":"conf","source":2,"members":[3,4,7]}`, "group_create", 201},
+		{"POST", "/v1/groups", `{"id":"conf","source":2,"members":[3]}`, "group_create", 409},
+		{"GET", "/v1/groups/conf/plan", "", "group_plan", 200},
+		{"GET", "/v1/groups/nope/plan", "", "group_plan", 404},
+		{"GET", "/v1/groups/conf/plan", "", "group_plan", 200},
+		{"PUT", "/v1/route", "", "method_not_allowed", 405},
+		{"GET", "/v1/no/such", "", "not_found", 404},
+		{"GET", "/cost?n=16", "", "legacy_redirect", 301},
+		{"GET", "/v1/cost?n=16", "", "cost", 200},
+		{"POST", "/v1/groups/conf/join", `{"dest":9}`, "group_join", 200},
+		{"DELETE", "/v1/groups/conf", "", "group_delete", 200},
+		{"PUT", "/v1/epoch", "", "method_not_allowed", 405},
+		{"GET", "/v1/healthz", "", "healthz", 200},
+	}
+	for _, step := range script {
+		req := httptest.NewRequest(step.method, step.path, strings.NewReader(step.body))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != step.code {
+			t.Fatalf("%s %s = %d, want %d: %s", step.method, step.path, rec.Code, step.code, rec.Body)
+		}
+		ref.Counter(fmt.Sprintf(`brsmn_http_requests_total{handler=%q,code="%d"}`, step.handler, step.code),
+			"HTTP requests by handler and status code.").Inc()
+		ref.Histogram(`brsmn_http_request_seconds{handler=`+strconv.Quote(step.handler)+`}`,
+			"HTTP request latency by handler.", obs.SecondsBuckets()).ObserveDuration(0)
+	}
+	expo := func(r *obs.Registry) string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "brsmn_http_request_seconds_bucket") ||
+				strings.HasPrefix(line, "brsmn_http_request_seconds_sum") {
+				line = line[:strings.LastIndexByte(line, ' ')]
+			}
+			out = append(out, line)
+		}
+		return strings.Join(out, "\n")
+	}
+	if got, want := expo(reg), expo(ref); got != want {
+		t.Fatalf("exposition changed\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

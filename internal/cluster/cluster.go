@@ -215,12 +215,26 @@ type Node struct {
 
 	met *clusterMetrics // nil without a registry
 
+	// polled, when non-nil, runs in pollRound between the peer polls
+	// and applying their results — a test hook for interleavings.
+	polled func()
+
 	quit chan struct{}
 	done chan struct{}
 }
 
 // New builds the cluster node and starts its membership loop.
 func New(cfg Config) (*Node, error) {
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go n.loop()
+	return n, nil
+}
+
+// newNode builds the node without starting its membership loop.
+func newNode(cfg Config) (*Node, error) {
 	cfg.applyDefaults()
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: empty self node ID")
@@ -259,7 +273,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Metrics != nil {
 		n.met = n.registerMetrics(cfg.Metrics)
 	}
-	go n.loop()
 	return n, nil
 }
 
@@ -344,19 +357,15 @@ func (n *Node) loop() {
 }
 
 // pollRound refreshes every peer's state, returning whether the
-// serving view (the set of ring members) changed.
+// serving view (the set of ring members) changed. It never writes self
+// state: that has one writer, drain, so a round that read self before
+// a concurrent drain cannot put the draining node back on the ring.
 func (n *Node) pollRound() bool {
 	changed := false
 	var wg sync.WaitGroup
 	results := make([]peerState, len(n.peers))
 	for i, p := range n.peers {
 		if p == n.self {
-			// Self state is authoritative locally.
-			if n.draining.Load() {
-				results[i] = peerDraining
-			} else {
-				results[i] = peerUp
-			}
 			p.groups.Store(int64(n.cfg.Local.Count()))
 			p.epoch.Store(n.cfg.Local.Epoch())
 			continue
@@ -368,7 +377,13 @@ func (n *Node) pollRound() bool {
 		}(i, p)
 	}
 	wg.Wait()
+	if n.polled != nil {
+		n.polled()
+	}
 	for i, p := range n.peers {
+		if p == n.self {
+			continue
+		}
 		old := p.getState()
 		if results[i] != old {
 			p.setState(results[i])

@@ -71,16 +71,7 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, ErrClosed.Error())
 		return
 	}
-	first := !n.draining.Swap(true)
-	if first {
-		n.self.setState(peerDraining)
-		n.rebuildRing() // drop self from the placement ring immediately
-		if n.met != nil {
-			n.met.drains.Inc()
-		}
-		n.logf("cluster: node %s draining, %d groups to move", n.cfg.Self, n.cfg.Local.Count())
-		n.goSweep("drain")
-	}
+	n.Drain()
 	api.WriteData(w, http.StatusAccepted, DrainResponse{Draining: true, Groups: n.cfg.Local.Count()})
 }
 

@@ -31,8 +31,9 @@ const maxMigrateRetries = 8
 
 // Drain starts draining this node: it leaves the placement ring and a
 // background sweep pushes every group it holds to the new ring owners.
-// Idempotent; the HTTP drain endpoint is a thin wrapper. Exposed for
-// in-process cluster tests.
+// Idempotent; the HTTP drain endpoint is a thin wrapper. Drain is the
+// only writer of self state after New (membership polls never touch
+// it).
 func (n *Node) Drain() {
 	if n.draining.Swap(true) {
 		return
@@ -44,6 +45,7 @@ func (n *Node) Drain() {
 	if n.met != nil {
 		n.met.drains.Inc()
 	}
+	n.logf("cluster: node %s draining, %d groups to move", n.cfg.Self, n.cfg.Local.Count())
 	n.goSweep("drain")
 }
 

@@ -15,6 +15,7 @@ package gates
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"brsmn/internal/shuffle"
 )
@@ -143,18 +144,33 @@ func ForwardSweep(leaves []int) (sum, cycles int, err error) {
 	return sum, lastSignificant, nil
 }
 
+// forwardDelays memoizes ForwardDelay by log2(n): the simulated delay
+// depends on n alone, and the cost rows behind every plan reply ask for
+// it on each request. A zero slot is unfilled (every delay is >= 1);
+// racing first calls compute the same value, so a plain store suffices.
+var forwardDelays [64]atomic.Int64
+
 // ForwardDelay returns the forward-phase delay in gate delays for an
 // n-input RBN: measured by simulating the sweep on worst-case leaf
-// values (all ones, maximizing the sum's bit width).
+// values (all ones, maximizing the sum's bit width). The simulation
+// runs once per n; later calls return the remembered result.
 func ForwardDelay(n int) int {
+	if !shuffle.IsPow2(n) || n < 1 {
+		panic(fmt.Errorf("gates: %d leaves is not a power of two >= 1", n)) // n is validated by callers
+	}
+	slot := &forwardDelays[shuffle.Log2(n)]
+	if d := slot.Load(); d != 0 {
+		return int(d)
+	}
 	leaves := make([]int, n)
 	for i := range leaves {
 		leaves[i] = 1
 	}
 	_, cycles, err := ForwardSweep(leaves)
 	if err != nil {
-		panic(err) // n is validated by callers
+		panic(err)
 	}
+	slot.Store(int64(cycles))
 	return cycles
 }
 

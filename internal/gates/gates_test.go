@@ -1,6 +1,7 @@
 package gates
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,5 +137,59 @@ func TestSingleLeafSweep(t *testing.T) {
 	sum, cycles, err := ForwardSweep([]int{7})
 	if err != nil || sum != 7 || cycles != 1 {
 		t.Errorf("ForwardSweep([7]) = (%d,%d,%v)", sum, cycles, err)
+	}
+}
+
+// worstCaseSweep is ForwardDelay without the memo: a fresh simulation
+// on all-ones leaves.
+func worstCaseSweep(t *testing.T, n int) int {
+	t.Helper()
+	leaves := make([]int, n)
+	for i := range leaves {
+		leaves[i] = 1
+	}
+	_, cycles, err := ForwardSweep(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cycles
+}
+
+// TestForwardDelayMemo checks the memoized ForwardDelay against a fresh
+// ForwardSweep for every n = 2..2^16, on first use and on repeat calls
+// racing from several goroutines (run with -race).
+func TestForwardDelayMemo(t *testing.T) {
+	for i := range forwardDelays {
+		forwardDelays[i].Store(0)
+	}
+	want := map[int]int{}
+	for n := 2; n <= 1<<16; n *= 2 {
+		want[n] = worstCaseSweep(t, n)
+	}
+	errs := make(chan string, 8*len(want))
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for rep := 0; rep < 2; rep++ {
+				for n, w := range want {
+					if got := ForwardDelay(n); got != w {
+						errs <- fmt.Sprintf("ForwardDelay(%d) = %d, fresh sweep %d", n, got, w)
+					}
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for n, w := range want {
+		if got := int(forwardDelays[shuffle.Log2(n)].Load()); got != w {
+			t.Errorf("memo slot for n=%d holds %d, want %d", n, got, w)
+		}
 	}
 }

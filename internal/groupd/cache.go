@@ -13,8 +13,8 @@ import (
 // quarantine grown) bumps pv, so degraded plans never shadow healthy
 // ones; a tier transition changes bk, so the group's first Plan on the
 // new tier replans through the normal miss path and plans from
-// different backends never shadow each other. Stale entries of either
-// kind age out through normal LRU eviction.
+// different backends never shadow each other. The cache holds at most
+// one key per group, so a superseded key is replaced, not retained.
 type planKey struct {
 	id  string
 	gen uint64
@@ -40,11 +40,16 @@ type CacheStats struct {
 	Capacity      int    `json:"capacity"`
 }
 
-// planCache is a mutex-guarded LRU over encoded column programs. A
-// membership change bumps the group's generation and invalidates the old
-// key eagerly; an entry inserted by a racing Plan for an already-stale
-// generation is harmless — no lookup uses old generations — and ages out
-// through normal LRU eviction.
+// planCache is a mutex-guarded LRU over encoded column programs,
+// indexed by group ID and holding only the newest key per group: a put
+// replaces the group's entry unless it carries an older generation
+// than the one held (a racing Plan or epoch that planned a generation
+// a write has since superseded), which is dropped. Lookups still
+// compare the full key, so a held entry only serves its exact
+// (gen, pv, tier). A membership change invalidates the old key eagerly,
+// but only on an exact match, so it never removes a newer entry; a
+// group's footprint is one entry whatever the churn, and eviction is
+// left to groups beyond capacity.
 //
 // The mutex covers only the LRU structure; the counters are sync/atomic
 // so Stats can be read lock-free while epoch goroutines churn the cache
@@ -53,7 +58,7 @@ type planCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	items    map[planKey]*list.Element
+	items    map[string]*list.Element
 
 	hits, misses, evictions, invalidations atomic.Uint64
 }
@@ -62,15 +67,23 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[planKey]*list.Element, capacity),
+		items:    make(map[string]*list.Element, capacity),
 	}
+}
+
+// lookup returns the element holding exactly k; c.mu must be held.
+func (c *planCache) lookup(k planKey) *list.Element {
+	if el, ok := c.items[k.id]; ok && el.Value.(*planEntry).key == k {
+		return el
+	}
+	return nil
 }
 
 func (c *planCache) get(k planKey) (planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
+	el := c.lookup(k)
+	if el == nil {
 		c.misses.Add(1)
 		return planEntry{}, false
 	}
@@ -84,8 +97,8 @@ func (c *planCache) get(k planKey) (planEntry, bool) {
 func (c *planCache) peek(k planKey) (planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
+	el := c.lookup(k)
+	if el == nil {
 		return planEntry{}, false
 	}
 	return *el.Value.(*planEntry), true
@@ -94,26 +107,44 @@ func (c *planCache) peek(k planKey) (planEntry, bool) {
 func (c *planCache) put(k planKey, blob []byte, columns, passes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value = &planEntry{key: k, blob: blob, columns: columns, passes: passes}
+	e := &planEntry{key: k, blob: blob, columns: columns, passes: passes}
+	if el, ok := c.items[k.id]; ok {
+		if k.gen < el.Value.(*planEntry).key.gen {
+			return
+		}
+		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&planEntry{key: k, blob: blob, columns: columns, passes: passes})
+	c.items[k.id] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*planEntry).key)
+		delete(c.items, back.Value.(*planEntry).key.id)
 		c.evictions.Add(1)
 	}
 }
 
+// invalidate removes the entry held under exactly k.
 func (c *planCache) invalidate(k planKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
+	if el := c.lookup(k); el != nil {
 		c.ll.Remove(el)
-		delete(c.items, k)
+		delete(c.items, k.id)
+		c.invalidations.Add(1)
+	}
+}
+
+// forget removes whatever entry a group holds, whatever its key — for
+// a group that has left this manager, whose held key may carry a tier
+// or policy version its removal no longer knows.
+func (c *planCache) forget(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[id]; ok {
+		c.ll.Remove(el)
+		delete(c.items, id)
 		c.invalidations.Add(1)
 	}
 }

@@ -2,8 +2,11 @@ package groupd
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
+
+	"brsmn/internal/backend"
 )
 
 func TestPlanCacheLRUOrder(t *testing.T) {
@@ -54,11 +57,66 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	if st.Invalidations != 1 || st.Size != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Distinct generations are distinct entries.
+	// Invalidation is exact-key: a superseded key leaves the group's
+	// newer entry in place.
 	c.put(planKey{"g", 1, 0, 1}, []byte{1}, 1, 1)
 	c.put(planKey{"g", 2, 0, 1}, []byte{2}, 1, 1)
+	c.invalidate(planKey{"g", 1, 0, 1})
+	c.invalidate(planKey{"g", 2, 1, 1}) // same gen, other policy version
+	c.invalidate(planKey{"g", 2, 0, 2}) // same gen, other tier
+	if e, ok := c.get(planKey{"g", 2, 0, 1}); !ok || !bytes.Equal(e.blob, []byte{2}) {
+		t.Fatalf("newest entry lost to a non-matching invalidation: %+v ok=%v", e, ok)
+	}
+	if st := c.stats(); st.Size != 1 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want one entry and no further invalidations", st)
+	}
+}
+
+// TestPlanCacheOneEntryPerGroup checks the retention rule: the cache
+// holds only each group's newest key, a put for an older generation
+// than the one held is dropped, and lookups still match the full key.
+func TestPlanCacheOneEntryPerGroup(t *testing.T) {
+	c := newPlanCache(8)
+	for gen := uint64(1); gen <= 5; gen++ {
+		c.put(planKey{"g", gen, 0, 1}, []byte{byte(gen)}, 1, 1)
+		c.put(planKey{"h", gen, 0, 1}, []byte{byte(gen)}, 1, 1)
+	}
+	if st := c.stats(); st.Size != 2 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want one entry per group", st)
+	}
+	for _, k := range []planKey{{"g", 4, 0, 1}, {"g", 5, 1, 1}, {"g", 5, 0, 2}} {
+		if _, ok := c.get(k); ok {
+			t.Fatalf("get(%+v) hit; only the exact held key may", k)
+		}
+	}
+	// An older generation never replaces a newer one, on any tier or
+	// policy version.
+	c.put(planKey{"g", 3, 0, 1}, []byte{33}, 1, 1)
+	c.put(planKey{"g", 4, 7, 2}, []byte{44}, 1, 1)
+	if e, ok := c.peek(planKey{"g", 5, 0, 1}); !ok || !bytes.Equal(e.blob, []byte{5}) {
+		t.Fatalf("older generation replaced the newest: %+v ok=%v", e, ok)
+	}
+	// The same generation under another tier or policy version is the
+	// newer plan and replaces the held one.
+	c.put(planKey{"g", 5, 0, 2}, []byte{52}, 1, 3)
+	if _, ok := c.peek(planKey{"g", 5, 0, 1}); ok {
+		t.Fatal("tier change kept the old tier's entry")
+	}
+	if e, ok := c.get(planKey{"g", 5, 0, 2}); !ok || e.passes != 3 {
+		t.Fatalf("new tier entry = %+v ok=%v", e, ok)
+	}
+	c.put(planKey{"g", 6, 0, 1}, []byte{6}, 1, 1)
 	if st := c.stats(); st.Size != 2 {
-		t.Fatalf("size = %d, want 2 generations", st.Size)
+		t.Fatalf("size = %d after a newer generation, want 2", st.Size)
+	}
+	// forget drops the group's entry whatever key it holds.
+	c.forget("g")
+	c.forget("g")
+	if _, ok := c.peek(planKey{"g", 6, 0, 1}); ok {
+		t.Fatal("forget left the entry")
+	}
+	if st := c.stats(); st.Size != 1 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v after forget", st)
 	}
 }
 
@@ -115,5 +173,72 @@ func TestPlanCacheStatsRace(t *testing.T) {
 	}
 	if st.Size > st.Capacity {
 		t.Fatalf("size %d exceeds capacity %d", st.Size, st.Capacity)
+	}
+}
+
+// TestManagerCacheOneEntryPerGroup drives write+plan churn with epochs
+// in between and checks the manager's cache never holds more than one
+// entry per group, however many generations go by.
+func TestManagerCacheOneEntryPerGroup(t *testing.T) {
+	const groups = 16
+	m := newTestManager(t, Config{N: 16, CacheSize: 1024})
+	for g := 0; g < groups; g++ {
+		mustCreate(t, m, fmt.Sprintf("g%d", g), g, []int{(g + 1) % 16})
+	}
+	for i := 0; i < 400; i++ {
+		id := fmt.Sprintf("g%d", i%groups)
+		d := (i*7 + 3) % 16
+		if _, err := m.Join(id, d); err != nil {
+			if _, err := m.Leave(id, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Plan(id); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			if _, err := m.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := m.CacheStats(); st.Size > groups {
+			t.Fatalf("op %d: %d cache entries for %d groups", i, st.Size, groups)
+		}
+	}
+	if st := m.CacheStats(); st.Evictions != 0 {
+		t.Fatalf("evictions = %d below capacity", st.Evictions)
+	}
+}
+
+// TestDeletedGroupLeavesNoEntry checks a deleted group's entry goes
+// whatever key it was held under — here a tier other than the group's
+// serving tier at delete time — so a new group under the same ID, whose
+// generations restart at 1, caches its plans again.
+func TestDeletedGroupLeavesNoEntry(t *testing.T) {
+	m := newTestManager(t, Config{N: 16})
+	mustCreate(t, m, "g", 2, []int{3})
+	for d := 4; d < 9; d++ {
+		if _, err := m.Join("g", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Plan("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SetBackend("g", backend.TierPermNet); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Delete("g"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.CacheStats(); st.Size != 0 {
+		t.Fatalf("deleted group left %d entries", st.Size)
+	}
+	mustCreate(t, m, "g", 2, []int{3})
+	if p, err := m.Plan("g"); err != nil || p.Cached {
+		t.Fatalf("first plan of the new group: cached=%v err=%v", p.Cached, err)
+	}
+	if p, err := m.Plan("g"); err != nil || !p.Cached {
+		t.Fatalf("second plan of the new group: cached=%v err=%v", p.Cached, err)
 	}
 }

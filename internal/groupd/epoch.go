@@ -1,18 +1,22 @@
 package groupd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"brsmn/internal/controller"
+	"brsmn/internal/mcast"
 	"brsmn/internal/sched"
 	"brsmn/internal/store"
 )
 
 // RoundReport is one conflict-free round of an epoch: the groups it
 // carries and the resulting per-output delivery vector (the source input
-// delivered at each output, -1 idle).
+// delivered at each output, -1 idle). A round whose assignment is
+// unchanged from the previous epoch shares that epoch's Deliveries
+// slice, so reports are read-only.
 type RoundReport struct {
 	GroupIDs   []string `json:"groupIds"`
 	Deliveries []int    `json:"deliveries"`
@@ -45,8 +49,11 @@ type EpochReport struct {
 // groups, partition them into conflict-free rounds, route every round
 // through the network (rounds run on Config.Workers concurrent
 // routings), and refresh the plan cache — changed groups replan, the
-// rest hit. Epochs are serialized; membership changes landing mid-epoch
-// count toward the next one.
+// rest hit. A round whose filtered assignment equals one the previous
+// epoch routed reuses that round's delivery vector instead of routing
+// again: routing is a pure function of the assignment. Epochs are
+// serialized; membership changes landing mid-epoch count toward the
+// next one.
 func (m *Manager) RunEpoch() (*EpochReport, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -92,36 +99,58 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 			as[r], rejected[r] = m.cfg.Policy.FilterAssignment(as[r])
 		}
 	}
-	routed, err := controller.RouteAllOn(m.nw, as, m.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("groupd: epoch routing: %w", err)
+	keys := make([]string, len(as))
+	vecs := make([][]int, len(as))
+	var todo []mcast.Assignment
+	var todoIdx []int
+	for r, a := range as {
+		keys[r] = roundKey(a)
+		if vec, ok := m.rounds[keys[r]]; ok {
+			vecs[r] = vec
+			continue
+		}
+		todo = append(todo, a)
+		todoIdx = append(todoIdx, r)
+	}
+	if len(todo) > 0 {
+		routed, err := controller.RouteAllOn(m.nw, todo, m.cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("groupd: epoch routing: %w", err)
+		}
+		for _, sr := range routed {
+			r := todoIdx[sr.Index]
+			if sr.Err != nil {
+				return nil, fmt.Errorf("groupd: epoch round %d: %w", r, sr.Err)
+			}
+			vec := make([]int, m.cfg.N)
+			for out, d := range sr.Res.Deliveries {
+				vec[out] = d.Source
+			}
+			vecs[r] = vec
+		}
 	}
 
 	rep := &EpochReport{
 		When:   start,
 		Groups: len(live),
-		Rounds: make([]RoundReport, len(routed)),
+		Rounds: make([]RoundReport, len(as)),
 	}
-	for r, sr := range routed {
-		if sr.Err != nil {
-			return nil, fmt.Errorf("groupd: epoch round %d: %w", r, sr.Err)
-		}
-		vec := make([]int, m.cfg.N)
-		for out, d := range sr.Res.Deliveries {
-			vec[out] = d.Source
-		}
-		rep.Rounds[r] = RoundReport{GroupIDs: ids[sr.Index], Deliveries: vec, Rejected: rejected[sr.Index]}
-		if len(rejected[sr.Index]) > 0 {
-			rep.Quarantined += len(rejected[sr.Index])
+	routedRounds := make(map[string][]int, len(as))
+	for r, vec := range vecs {
+		routedRounds[keys[r]] = vec
+		rep.Rounds[r] = RoundReport{GroupIDs: ids[r], Deliveries: vec, Rejected: rejected[r]}
+		if len(rejected[r]) > 0 {
+			rep.Quarantined += len(rejected[r])
 			rep.DegradedRounds++
 		}
 	}
 	for _, sn := range live {
 		rep.Fanout += len(sn.members)
-		if _, err := m.planFor(sn.id, sn.gen, sn.source, sn.members, sn.tier); err != nil {
+		if _, err := m.planFor(sn.s, sn.gen, sn.source, sn.members, sn.tier); err != nil {
 			return nil, fmt.Errorf("groupd: epoch plan for %q: %w", sn.id, err)
 		}
 	}
+	m.rounds = routedRounds
 	rep.Epoch = m.epochN.Add(1)
 	// An epoch boundary doubles as a durability barrier: record the
 	// advance and sync the accumulated fsync batch through to disk.
@@ -138,12 +167,33 @@ func (m *Manager) RunEpoch() (*EpochReport, error) {
 		m.met.epochsOK.Inc()
 		m.met.epochDur.ObserveDuration(rep.Duration)
 		m.met.epochRounds.Observe(float64(len(rep.Rounds)))
+		m.met.epochReuse.Add(uint64(len(as) - len(todo)))
 	}
 	m.last.Store(rep)
 	if m.cfg.Policy != nil {
 		m.cfg.Policy.AfterEpoch(rep.Epoch)
 	}
 	return rep, nil
+}
+
+// roundKey encodes a round's combined assignment exactly: for each
+// source with destinations, the source, the destination count and the
+// destinations, as uvarints. The count makes the encoding prefix-free,
+// so two keys are equal exactly when the assignments are — and a map
+// lookup compares the whole key, not just its hash.
+func roundKey(a mcast.Assignment) string {
+	var b []byte
+	for src, ds := range a.Dests {
+		if len(ds) == 0 {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(src))
+		b = binary.AppendUvarint(b, uint64(len(ds)))
+		for _, d := range ds {
+			b = binary.AppendUvarint(b, uint64(d))
+		}
+	}
+	return string(b)
 }
 
 // Epoch returns the number of completed epochs.

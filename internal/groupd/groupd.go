@@ -11,11 +11,13 @@
 //     (timer tick or pending-change threshold) the live groups are
 //     partitioned into conflict-free rounds by internal/sched and routed
 //     concurrently through internal/controller, so overlapping groups
-//     coexist the way real traffic does;
-//   - a plan cache: an LRU keyed by (group ID, generation) holding
-//     plancodec-encoded column programs, so rerouting an unchanged group
-//     is a cache hit instead of an O(n log^2 n) replan. Hit/miss/eviction
-//     counters are exposed for benchmarking.
+//     coexist the way real traffic does; a round unchanged since the
+//     previous epoch reuses that epoch's routed result;
+//   - a plan cache: an LRU holding each group's newest (generation,
+//     policy version, tier) key with its plancodec-encoded column
+//     program, so rerouting an unchanged group is a cache hit instead of
+//     an O(n log^2 n) replan. Hit/miss/eviction counters are exposed for
+//     benchmarking.
 //
 // A Manager is safe for concurrent use by the HTTP handlers of
 // internal/api and its own epoch goroutine.
@@ -189,6 +191,10 @@ type Manager struct {
 	epochMu sync.Mutex // serializes RunEpoch
 	epochN  atomic.Int64
 	last    atomic.Pointer[EpochReport]
+	// rounds maps the previous epoch's routed rounds, by roundKey of
+	// their filtered assignment, to their delivery vectors; covered by
+	// epochMu.
+	rounds map[string][]int
 
 	met    *managerMetrics // nil when Config.Metrics was nil
 	tracer *obs.TraceRecorder
@@ -498,11 +504,10 @@ func (m *Manager) Delete(id string) error {
 		return err
 	}
 	s.gone = true
-	tier := s.tier.Tier
 	s.mu.Unlock()
 	delete(sh.groups, id)
 	sh.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.forget(id)
 	m.noteChange(1)
 	return nil
 }
@@ -630,12 +635,13 @@ func (m *Manager) Plan(id string) (PlanInfo, error) {
 		return PlanInfo{}, err
 	}
 	m.noteBackendRoute(tier, columns)
-	m.cache.put(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}, blob, columns, passes)
+	m.putLive(s, planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}, blob, columns, passes)
 	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob,
 		Backend: tier.String(), Passes: passes}, nil
 }
 
-func (m *Manager) planFor(id string, gen uint64, source int, members []int, tier backend.Tier) (PlanInfo, error) {
+func (m *Manager) planFor(s *session, gen uint64, source int, members []int, tier backend.Tier) (PlanInfo, error) {
+	id := s.id
 	k := planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}
 	if e, ok := m.cache.get(k); ok {
 		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob,
@@ -656,9 +662,22 @@ func (m *Manager) planFor(id string, gen uint64, source int, members []int, tier
 		return PlanInfo{}, err
 	}
 	m.noteBackendRoute(tier, columns)
-	m.cache.put(k, blob, columns, passes)
+	m.putLive(s, k, blob, columns, passes)
 	return PlanInfo{ID: id, Gen: gen, Cached: false, Columns: columns, Blob: blob,
 		Backend: tier.String(), Passes: passes}, nil
+}
+
+// putLive caches a plan computed for s unless s has since left the
+// registry. Holding s.mu across the put orders it against the removal
+// paths, which mark the session gone under s.mu and then forget the
+// group's entry: a plan for a deleted group can never outlive the
+// delete and shadow a later group under the same ID.
+func (m *Manager) putLive(s *session, k planKey, blob []byte, columns, passes int) {
+	s.mu.Lock()
+	if !s.gone {
+		m.cache.put(k, blob, columns, passes)
+	}
+	s.mu.Unlock()
 }
 
 // replanVia is the cache-miss path for the non-BRSMN tiers: the
@@ -761,6 +780,7 @@ func (m *Manager) replan(id string, source int, members []int) ([]byte, int, err
 
 // groupSnapshot is one group's membership frozen at epoch start.
 type groupSnapshot struct {
+	s       *session
 	id      string
 	source  int
 	gen     uint64
@@ -782,6 +802,7 @@ func (m *Manager) snapshot() []groupSnapshot {
 		for _, s := range sessions {
 			s.mu.Lock()
 			out = append(out, groupSnapshot{
+				s:       s,
 				id:      s.id,
 				source:  s.group.Source(),
 				gen:     s.gen,

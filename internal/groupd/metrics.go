@@ -6,6 +6,7 @@ package groupd
 //	brsmn_epoch_duration_seconds      histogram  one reroute epoch, wall-clock
 //	brsmn_epoch_rounds                histogram  conflict-free rounds per epoch
 //	brsmn_epochs_total{result=...}    counter    ok | error
+//	brsmn_epoch_rounds_reused_total   counter    rounds unchanged since the last epoch, not re-routed
 //	brsmn_replan_duration_seconds     histogram  cache-miss O(n log² n) replan
 //	brsmn_replans_total               counter    cache-miss replans
 //	brsmn_plan_patches_total{result}  counter    patched | full serving-path misses
@@ -34,6 +35,7 @@ type managerMetrics struct {
 	epochRounds *obs.Histogram
 	epochsOK    *obs.Counter
 	epochsErr   *obs.Counter
+	epochReuse  *obs.Counter
 	replans     *obs.Counter
 	replanDur   *obs.Histogram
 	patched     *obs.Counter
@@ -66,6 +68,8 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 			"Completed reroute epochs by result."),
 		epochsErr: reg.Counter(lbl(`brsmn_epochs_total{result="error"}`),
 			"Completed reroute epochs by result."),
+		epochReuse: reg.Counter(lbl("brsmn_epoch_rounds_reused_total"),
+			"Epoch rounds whose assignment was unchanged from the previous epoch, served from its routed delivery vector."),
 		replans: reg.Counter(lbl("brsmn_replans_total"),
 			"Cache-miss full replans (O(n log^2 n) routes)."),
 		replanDur: reg.Histogram(lbl("brsmn_replan_duration_seconds"),

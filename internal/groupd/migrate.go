@@ -104,7 +104,7 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 			old.mu.Unlock()
 			sh.mu.Unlock()
 			if plan != nil && gen == oldGen {
-				m.installPlan(g.ID, gen, plan)
+				m.installPlan(old, gen, plan)
 			}
 			return nil
 		}
@@ -115,10 +115,9 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 			return err
 		}
 		old.gone = true
-		oldTier := old.tier.Tier
 		old.mu.Unlock()
 		delete(sh.groups, g.ID)
-		m.cache.invalidate(planKey{id: g.ID, gen: oldGen, pv: m.policyVersion(), bk: uint8(oldTier)})
+		m.cache.forget(g.ID)
 	}
 	if err := m.appendRecord(store.Record{Op: store.OpCreate, Group: g.ID, Source: g.Source, Gen: gen, Members: g.Members}); err != nil {
 		sh.mu.Unlock()
@@ -129,7 +128,7 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 	sh.groups[g.ID] = s
 	sh.mu.Unlock()
 	if plan != nil {
-		m.installPlan(g.ID, gen, plan)
+		m.installPlan(s, gen, plan)
 	}
 	m.noteChange(1 + len(g.Members))
 	return nil
@@ -139,8 +138,8 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 // healthy-fabric version and BRSMN tier — the same key snapshot
 // recovery uses, so a clean fabric's first Plan after migration is a
 // byte-identical hit (when the group lands on the BRSMN tier).
-func (m *Manager) installPlan(id string, gen uint64, plan *store.PlanState) {
-	m.cache.put(planKey{id: id, gen: gen, pv: 0, bk: uint8(backend.TierBRSMN)}, plan.Blob, plan.Columns, 1)
+func (m *Manager) installPlan(s *session, gen uint64, plan *store.PlanState) {
+	m.putLive(s, planKey{id: s.id, gen: gen, pv: 0, bk: uint8(backend.TierBRSMN)}, plan.Blob, plan.Columns, 1)
 }
 
 // DeleteIfGen unregisters the group only if its generation still equals
@@ -171,11 +170,10 @@ func (m *Manager) DeleteIfGen(id string, gen uint64) error {
 		return err
 	}
 	s.gone = true
-	tier := s.tier.Tier
 	s.mu.Unlock()
 	delete(sh.groups, id)
 	sh.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.forget(id)
 	m.noteChange(1)
 	return nil
 }

@@ -258,6 +258,7 @@ func (m *Manager) applyRecord(rec store.Record) error {
 		sh := m.shardFor(rec.Group)
 		if s, ok := sh.groups[rec.Group]; ok && rec.Gen >= s.gen {
 			delete(sh.groups, rec.Group)
+			m.cache.forget(rec.Group)
 		}
 	case store.OpEpoch:
 		if rec.Epoch > m.epochN.Load() {
