@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"brsmn/internal/backend"
 	"brsmn/internal/core"
@@ -64,6 +65,11 @@ type Server struct {
 	tracer   *obs.TraceRecorder
 	ready    ReadyCheck
 	mux      *http.ServeMux
+
+	// costRows holds each serving tier's cost row rendered as JSON for
+	// the plan envelope, filled once by costJSON.
+	costOnce sync.Once
+	costRows map[string][]byte
 }
 
 // NewServer returns a handler-ready server using the given engine for

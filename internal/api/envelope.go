@@ -11,6 +11,8 @@ package api
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"sync"
 )
 
 // Envelope is the uniform /v1 response shape. Both keys are always
@@ -90,21 +92,67 @@ func WriteError(w http.ResponseWriter, status int, code, message string, fields 
 	writeError(w, status, code, message, fields...)
 }
 
-// writeData writes a success envelope.
+// writeData writes a success envelope. The body is encoded into a
+// pooled buffer first and sent by writeBody, so the reply carries a
+// Content-Length and a value that fails to marshal still answers a
+// clean 500 envelope instead of a truncated body.
 func writeData(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(Envelope{Data: v}); err != nil {
-		// Headers are gone; nothing else to do but note it.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeEnvelope(w, status, Envelope{Data: v})
 }
 
 // writeError writes an error envelope with an explicit code.
 func writeError(w http.ResponseWriter, status int, code, message string, fields ...FieldError) {
-	w.Header().Set("Content-Type", "application/json")
+	writeEnvelope(w, status, Envelope{Error: &ErrorBody{Code: code, Message: message, Fields: fields}})
+}
+
+// writeEnvelope encodes env with encoding/json and sends it through
+// writeBody.
+func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
+	buf := getBody()
+	defer putBody(buf)
+	if err := json.NewEncoder(buf).Encode(env); err != nil {
+		// Encode writes nothing on failure, so buf is still empty.
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(Envelope{Error: &ErrorBody{Code: CodeInternal, Message: "api: encoding reply: " + err.Error()}})
+	}
+	writeBody(w, status, buf.b)
+}
+
+// writeBody is the one reply sink: it sends a complete JSON body with
+// its Content-Length in a single Write, so net/http neither chunks it
+// nor splits it into small writes.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(Envelope{Error: &ErrorBody{Code: code, Message: message, Fields: fields}})
+	_, _ = w.Write(b) // a failed write means the client is gone
+}
+
+// maxPooledBody caps the buffers returned to bodyPool: a larger one (a
+// big epoch report or group list) goes to the GC, so one rare reply
+// does not pin its memory for the life of the process.
+const maxPooledBody = 64 << 10
+
+// bodyBuf is a reply body under construction: an io.Writer for
+// json.Encoder and an append target for appendPlanEnvelope.
+type bodyBuf struct{ b []byte }
+
+func (w *bodyBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+func getBody() *bodyBuf { return bodyPool.Get().(*bodyBuf) }
+
+func putBody(buf *bodyBuf) {
+	if cap(buf.b) > maxPooledBody {
+		return
+	}
+	buf.b = buf.b[:0]
+	bodyPool.Put(buf)
 }
 
 // httpError writes an error envelope deriving the code from the status

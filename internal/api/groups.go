@@ -22,9 +22,12 @@ package api
 import (
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"unicode/utf8"
 
 	"brsmn/internal/backend"
 	"brsmn/internal/cost"
@@ -371,10 +374,14 @@ func (s *Server) handleGroupPlan(w http.ResponseWriter, r *http.Request) {
 		groupErr(w, err)
 		return
 	}
-	writeData(w, http.StatusOK, s.planResponse(p))
+	buf := getBody()
+	defer putBody(buf)
+	buf.b = s.appendPlanEnvelope(buf.b, p)
+	writeBody(w, http.StatusOK, buf.b)
 }
 
-// planResponse renders a PlanInfo as the wire shape.
+// planResponse renders a PlanInfo as the wire shape. It is the
+// reference for appendPlanEnvelope and the shape ticket results embed.
 func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
 	return GroupPlanResponse{
 		ID:      p.ID,
@@ -386,6 +393,57 @@ func (s *Server) planResponse(p groupd.PlanInfo) GroupPlanResponse {
 		Passes:  p.Passes,
 		Cost:    s.tierCost(p.Backend),
 	}
+}
+
+// appendPlanEnvelope appends to b the bytes json.Encoder writes for
+// Envelope{Data: s.planResponse(p)}, trailing newline included. The plan
+// reply is the one shape rendered by hand, because it carries the
+// program (about 19 KB of base64 at n=1024): the program is encoded
+// straight into b, with no intermediate string and no escape scan of
+// it, and the cost row is rendered once per tier. FuzzPlanEnvelope
+// holds the two renderings equal.
+func (s *Server) appendPlanEnvelope(b []byte, p groupd.PlanInfo) []byte {
+	b = append(b, `{"data":{"id":`...)
+	b = appendJSONString(b, p.ID)
+	b = append(b, `,"gen":`...)
+	b = strconv.AppendUint(b, p.Gen, 10)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, p.Cached)
+	b = append(b, `,"columns":`...)
+	b = strconv.AppendInt(b, int64(p.Columns), 10)
+	b = append(b, `,"plan":"`...)
+	b = base64.StdEncoding.AppendEncode(b, p.Blob) // the base64 alphabet needs no JSON escapes
+	b = append(b, '"')
+	if p.Backend != "" {
+		b = append(b, `,"backend":`...)
+		b = appendJSONString(b, p.Backend)
+	}
+	if p.Passes != 0 {
+		b = append(b, `,"passes":`...)
+		b = strconv.AppendInt(b, int64(p.Passes), 10)
+	}
+	if row := s.costJSON(p.Backend); row != nil {
+		b = append(b, `,"cost":`...)
+		b = append(b, row...)
+	}
+	return append(b, "},\"error\":null}\n"...)
+}
+
+// appendJSONString appends str quoted as encoding/json quotes it.
+// ASCII from the space up, other than the quote, the backslash and the
+// HTML characters <, > and &, is copied as is; a string holding any
+// other byte (a control, or anything past ASCII, where json rewrites
+// U+2028, U+2029 and invalid UTF-8) is quoted by json.Marshal itself.
+func appendJSONString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(str) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 // tierCost resolves a tier's cost row at the serving network size; nil
@@ -404,6 +462,21 @@ func (s *Server) tierCost(tier string) *cost.Row {
 	}
 	row := b.Cost()
 	return &row
+}
+
+// costJSON is tierCost rendered as JSON, keyed by the tier's wire name.
+// Every tier's row is rendered on first use and kept: the rows depend
+// on the network size alone.
+func (s *Server) costJSON(tier string) []byte {
+	s.costOnce.Do(func() {
+		s.costRows = make(map[string][]byte)
+		for _, t := range backend.Tiers() {
+			if row := s.tierCost(t.String()); row != nil {
+				s.costRows[t.String()], _ = json.Marshal(row) // a cost.Row always marshals
+			}
+		}
+	})
+	return s.costRows[tier]
 }
 
 // SetBackendRequest is the POST /v1/groups/{id}/backend payload.

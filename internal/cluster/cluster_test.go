@@ -246,6 +246,55 @@ func TestClusterForwarding(t *testing.T) {
 	}
 }
 
+// TestClusterForwardedPlanFraming checks that a plan fetched through
+// the non-owner of a two-node cluster crosses the hop as the owner sent
+// it: the same bytes, the same Content-Length, and no chunking.
+func TestClusterForwardedPlanFraming(t *testing.T) {
+	nodes := testCluster(t, 2, nil)
+	// An n=16 program is a few hundred bytes, which net/http would send
+	// sized even unasked; the long ID takes the reply past its 2 KB
+	// buffer, beyond which an unsized body goes out chunked.
+	id := "frame-" + strings.Repeat("x", 4096)
+	createGroup(t, nodes["a"].url, id, 1, []int{2, 5, 11})
+	ownerID := nodes["a"].node.Owner(id)
+	nonOwnerID := "a"
+	if ownerID == "a" {
+		nonOwnerID = "b"
+	}
+	fetch := func(base string) ([]byte, *http.Response) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/groups/" + id + "/plan")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan via %s = %d: %s", base, resp.StatusCode, body)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("plan via %s: framing %v, Content-Length %d for a %d-byte body",
+				base, resp.TransferEncoding, resp.ContentLength, len(body))
+		}
+		return body, resp
+	}
+	fetch(nodes[ownerID].url) // routes the plan; both fetches below are cache hits
+	want, direct := fetch(nodes[ownerID].url)
+	got, relayed := fetch(nodes[nonOwnerID].url)
+	if relayed.Header.Get(HeaderForwarded) != nonOwnerID+">"+ownerID {
+		t.Fatalf("plan via the non-owner was not forwarded: %q", relayed.Header.Get(HeaderForwarded))
+	}
+	if string(got) != string(want) {
+		t.Fatalf("forwarded plan differs from the owner's reply:\n got %.200s\nwant %.200s", got, want)
+	}
+	if relayed.ContentLength != direct.ContentLength {
+		t.Fatalf("forwarded Content-Length %d, owner's %d", relayed.ContentLength, direct.ContentLength)
+	}
+}
+
 // TestClusterAutoIDCreate checks POST /v1/groups without an ID gets a
 // node-scoped unique ID and still lands on its ring owner.
 func TestClusterAutoIDCreate(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -345,13 +346,27 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner *peer, hops
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		flushCopy(w, resp.Body)
 	} else {
-		_, _ = io.Copy(w, resp.Body)
+		buf := relayBufs.Get().(*[]byte)
+		_, _ = io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
+		relayBufs.Put(buf)
 	}
 	n.nForwarded.Add(1)
 	if n.met != nil {
 		n.met.forwardSeconds.Observe(time.Since(start).Seconds())
 	}
 }
+
+// relayBufs holds the buffers forward copies reply bodies through. The
+// copy goes past the ResponseWriter's ReadFrom on purpose: net/http
+// hands a sized body to the connection's ReadFrom, which allocates a
+// new 32 KB buffer for every reader that is not a file or a socket.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// writerOnly hides every method of its Writer but Write.
+type writerOnly struct{ io.Writer }
 
 // retryable reports whether a failed proxied attempt may safely be
 // re-sent: idempotent methods always; anything else only when the
