@@ -49,7 +49,7 @@ func main() {
 		trials   = flag.Int("trials", 10, "assignments per wall-clock measurement")
 		seed     = flag.Int64("seed", 1, "random seed")
 		format   = flag.String("format", "text", "output format: text or json (json: wallclock, pipeline, route, recovery)")
-		workers  = flag.Int("workers", 4, "worker count for the route experiment's parallel regime")
+		workers  = flag.Int("workers", 4, "worker count for the route experiment's parallel regime (capped at GOMAXPROCS; the regime is left out below 2)")
 		groups   = flag.Int("groups", 64, "group population for the recovery experiment")
 		baseline = flag.String("baseline", "", "route experiment: committed BENCH_route.json to compare against; exits nonzero if the warm planner regime regresses more than 20%")
 	)
@@ -216,8 +216,8 @@ func run(w io.Writer, exp string, n int, sizes []int, trials int, seed int64, gr
 		}
 		fmt.Fprintf(w, "Planner backend tiers, n = %d, %d trials (GOMAXPROCS=%d)\n", rep.N, rep.Trials, rep.GoMaxProcs)
 		for _, m := range rep.Tiers {
-			fmt.Fprintf(w, "  %-16s %-10s size %5d %12d ns/op %4d passes %5d cols %8d switches %8d allocs/op\n",
-				m.Workload, m.Backend, m.GroupSize, m.NsPerOp, m.Passes, m.Depth, m.Switches, m.AllocsPerOp)
+			fmt.Fprintf(w, "  %-16s %-10s size %5d %12d ns/op %4d passes %5d cols %8d switch-steps %8d hw switches %8d allocs/op\n",
+				m.Workload, m.Backend, m.GroupSize, m.NsPerOp, m.Passes, m.Depth, m.SwitchSteps, m.HardwareSwitches, m.AllocsPerOp)
 		}
 		return nil
 	case "route":

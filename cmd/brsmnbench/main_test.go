@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -55,27 +56,38 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// TestRouteJSONRegimes checks the BENCH_route.json shape: all six
-// regimes present, in order, with positive timings.
+// TestRouteJSONRegimes checks the BENCH_route.json shape: every regime
+// present, in order, with positive timings. The parallel regime runs on
+// min(workers, GOMAXPROCS) workers and is left out below 2.
 func TestRouteJSONRegimes(t *testing.T) {
-	var b strings.Builder
-	if err := runJSON(&b, "route", 16, 2, 1, 4, 4, ""); err != nil {
-		t.Fatal(err)
-	}
-	var rep harness.RouteBenchReport
-	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, b.String())
-	}
-	want := []string{"cold", "network", "planner", "planner-parallel", "scalar", "delta-churn"}
-	if len(rep.Regimes) != len(want) {
-		t.Fatalf("%d regimes, want %d", len(rep.Regimes), len(want))
-	}
-	for i, m := range rep.Regimes {
-		if m.Name != want[i] {
-			t.Errorf("regime %d = %q, want %q", i, m.Name, want[i])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var b strings.Builder
+		if err := runJSON(&b, "route", 16, 2, 1, 4, 4, ""); err != nil {
+			t.Fatal(err)
 		}
-		if m.NsPerOp <= 0 {
-			t.Errorf("regime %q: non-positive timing %d", m.Name, m.NsPerOp)
+		var rep harness.RouteBenchReport
+		if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
+			t.Fatalf("not JSON: %v\n%s", err, b.String())
+		}
+		want := []string{"cold", "network", "planner", "planner-parallel", "scalar", "delta-churn"}
+		if procs < 2 {
+			want = []string{"cold", "network", "planner", "scalar", "delta-churn"}
+		}
+		if len(rep.Regimes) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d regimes, want %d", procs, len(rep.Regimes), len(want))
+		}
+		for i, m := range rep.Regimes {
+			if m.Name != want[i] {
+				t.Errorf("GOMAXPROCS=%d: regime %d = %q, want %q", procs, i, m.Name, want[i])
+			}
+			if m.NsPerOp <= 0 {
+				t.Errorf("regime %q: non-positive timing %d", m.Name, m.NsPerOp)
+			}
+			if m.Name == "planner-parallel" && m.Workers != procs {
+				t.Errorf("GOMAXPROCS=%d: parallel regime records %d workers", procs, m.Workers)
+			}
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"brsmn/internal/backend"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -37,6 +39,12 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.nodeID != "" || cfg.peers != "" || cfg.clusterPoll != 500*time.Millisecond ||
 		cfg.forwardTimeout != 5*time.Second || cfg.forwardRetries != 2 || cfg.maxHops != 2 {
 		t.Fatalf("cluster defaults = %+v", cfg)
+	}
+	if cfg.backend != backend.TierBRSMN {
+		t.Fatalf("backend default = %v, want brsmn", cfg.backend)
+	}
+	if cfg, err = parseFlags([]string{"-backend", "permnet"}); err != nil || cfg.backend != backend.TierPermNet {
+		t.Fatalf("-backend permnet = %v, %v", cfg.backend, err)
 	}
 }
 
@@ -86,6 +94,15 @@ func TestParseFlagsErrors(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-shards", "0"}); err == nil {
 		t.Fatal("-shards 0 accepted")
+	}
+	// There is no auto-tiering: no -tier-auto flag and no "auto" backend.
+	if _, err := parseFlags([]string{"-tier-auto"}); err == nil {
+		t.Fatal("-tier-auto accepted")
+	}
+	for _, b := range []string{"auto", ""} {
+		if _, err := parseFlags([]string{"-backend", b}); err == nil {
+			t.Fatalf("-backend %q accepted", b)
+		}
 	}
 	// Cluster flags come as a pair and must be self-consistent.
 	if _, err := parseFlags([]string{"-node-id", "a"}); err == nil {

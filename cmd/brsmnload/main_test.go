@@ -45,6 +45,7 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-workers", "0"},
 		{"-zipf-s", "1"},
 		{"-n", "2"},
+		{"-backend-mix"}, // no per-tier sampling: every group stays on its create-time tier
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) accepted", args)

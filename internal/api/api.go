@@ -24,7 +24,8 @@
 //
 // The pre-/v1 paths remain as deprecated aliases: they answer 301 (GET,
 // HEAD) or 308 (everything else) to the /v1 successor, carrying
-// `Deprecation: true` and a `Link: …; rel="successor-version"` header.
+// `Deprecation: true`, a `Link: …; rel="successor-version"` header and
+// a `Sunset` date (legacy.go) after which they are removed.
 // GET /healthz and GET /metrics are additionally served directly at
 // their legacy paths — load balancers and Prometheus scrapers don't
 // chase redirects. A Server is safe for concurrent use.
@@ -97,7 +98,6 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.route("GET /v1/groups/{id}", "group_get", s.withGroups(s.handleGroupGet))
 	s.route("POST /v1/groups/{id}/join", "group_join", s.withGroups(s.handleGroupJoin))
 	s.route("POST /v1/groups/{id}/leave", "group_leave", s.withGroups(s.handleGroupLeave))
-	s.route("POST /v1/groups/{id}/backend", "group_backend", s.withGroups(s.handleGroupSetBackend))
 	s.route("DELETE /v1/groups/{id}", "group_delete", s.withGroups(s.handleGroupDelete))
 	s.route("GET /v1/groups/{id}/plan", "group_plan", s.withGroups(s.handleGroupPlan))
 	s.route("GET /v1/backends", "backends", s.withGroups(s.handleBackends))
@@ -141,7 +141,6 @@ func NewServer(eng rbn.Engine, g Groups, fm *faultd.Monitor, opts ...Option) *Se
 	s.notAllowed("/v1/groups/{id}", "GET, DELETE")
 	s.notAllowed("/v1/groups/{id}/join", "POST")
 	s.notAllowed("/v1/groups/{id}/leave", "POST")
-	s.notAllowed("/v1/groups/{id}/backend", "POST")
 	s.notAllowed("/v1/groups/{id}/plan", "GET")
 	s.notAllowed("/v1/backends", "GET")
 	s.notAllowed("/v1/tickets", "GET, POST")

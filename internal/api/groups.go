@@ -3,15 +3,14 @@ package api
 // Stateful group endpoints, backed by any Groups implementation — a
 // single *groupd.Manager, or the sharded *shard.Set:
 //
-//	POST   /v1/groups              {"id":"conf","source":2,"members":[3,4,7],"backend":"auto"} -> group state
+//	POST   /v1/groups              {"id":"conf","source":2,"members":[3,4,7],"backend":"feedback"} -> group state
 //	GET    /v1/groups              -> {"count","offset","groups"} (paginated, Link headers)
-//	GET    /v1/groups/{id}         -> {"id","source","gen","size","members","sequence","backend","backendPref"}
+//	GET    /v1/groups/{id}         -> {"id","source","gen","size","members","sequence","backend"}
 //	POST   /v1/groups/{id}/join    {"dest":9}  -> {"id","gen","size"}
 //	POST   /v1/groups/{id}/leave   {"dest":9}  -> {"id","gen","size"}
-//	POST   /v1/groups/{id}/backend {"backend":"feedback"} -> group state
 //	DELETE /v1/groups/{id}         -> {"deleted":"conf"}
 //	GET    /v1/groups/{id}/plan    -> the cached/recomputed column program
-//	GET    /v1/backends            -> the planner tiers: capabilities, cost rows, selector policy
+//	GET    /v1/backends            -> the planner tiers: capabilities and cost rows
 //	GET    /v1/epoch               -> the last epoch report
 //	POST   /v1/epoch               -> run an epoch now, return its report
 //	GET    /v1/healthz             -> liveness + group/shard/fault summary
@@ -42,10 +41,8 @@ import (
 type Groups interface {
 	N() int
 	Create(id string, source int, members []int) (groupd.GroupInfo, error)
-	CreateWithBackend(id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error)
-	SetBackend(id string, pref backend.Tier) (groupd.GroupInfo, error)
+	CreateWithBackend(id string, source int, members []int, tier backend.Tier) (groupd.GroupInfo, error)
 	Backends() map[backend.Tier]backend.Backend
-	SelectorConfig() backend.SelectorConfig
 	Join(id string, d int) (groupd.Update, error)
 	Leave(id string, d int) (groupd.Update, error)
 	Delete(id string) error
@@ -73,8 +70,7 @@ var (
 // to the plain calls.
 type ctxGroups interface {
 	CreateContext(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error)
-	CreateWithBackendContext(ctx context.Context, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error)
-	SetBackendContext(ctx context.Context, id string, pref backend.Tier) (groupd.GroupInfo, error)
+	CreateWithBackendContext(ctx context.Context, id string, source int, members []int, tier backend.Tier) (groupd.GroupInfo, error)
 	JoinContext(ctx context.Context, id string, d int) (groupd.Update, error)
 	LeaveContext(ctx context.Context, id string, d int) (groupd.Update, error)
 	DeleteContext(ctx context.Context, id string) error
@@ -90,18 +86,11 @@ func (s *Server) doCreate(r *http.Request, id string, source int, members []int)
 	return s.groups.Create(id, source, members)
 }
 
-func (s *Server) doCreateWithBackend(r *http.Request, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
+func (s *Server) doCreateWithBackend(r *http.Request, id string, source int, members []int, tier backend.Tier) (groupd.GroupInfo, error) {
 	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.CreateWithBackendContext(r.Context(), id, source, members, pref)
+		return cg.CreateWithBackendContext(r.Context(), id, source, members, tier)
 	}
-	return s.groups.CreateWithBackend(id, source, members, pref)
-}
-
-func (s *Server) doSetBackend(r *http.Request, id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	if cg, ok := s.groups.(ctxGroups); ok {
-		return cg.SetBackendContext(r.Context(), id, pref)
-	}
-	return s.groups.SetBackend(id, pref)
+	return s.groups.CreateWithBackend(id, source, members, tier)
 }
 
 func (s *Server) doJoin(r *http.Request, id string, d int) (groupd.Update, error) {
@@ -177,9 +166,9 @@ type CreateGroupRequest struct {
 	ID      string `json:"id"`
 	Source  int    `json:"source"`
 	Members []int  `json:"members"`
-	// Backend is the optional planner-tier preference: "auto", "brsmn",
-	// "feedback", or "permnet". Empty defers to the server's configured
-	// default.
+	// Backend is the optional planner tier the group is served on for
+	// its lifetime: "brsmn", "feedback", or "permnet". Empty takes the
+	// server's configured default.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -195,7 +184,7 @@ func (r *CreateGroupRequest) validate() (fields []FieldError) {
 	}
 	if r.Backend != "" {
 		if _, err := backend.ParseTier(r.Backend); err != nil {
-			fields = append(fields, FieldError{Field: "backend", Reason: `must be "auto", "brsmn", "feedback", or "permnet"`})
+			fields = append(fields, FieldError{Field: "backend", Reason: `must be "brsmn", "feedback", or "permnet"`})
 		}
 	}
 	return fields
@@ -209,8 +198,8 @@ func (s *Server) handleGroupCreate(w http.ResponseWriter, r *http.Request) {
 	if asyncRequested(r) {
 		s.submitAsync(w, func(set *shard.Set) (*shard.Ticket, error) {
 			if req.Backend != "" {
-				pref, _ := backend.ParseTier(req.Backend)
-				return set.SubmitCreateWithBackend(req.ID, req.Source, req.Members, pref)
+				tier, _ := backend.ParseTier(req.Backend)
+				return set.SubmitCreateWithBackend(req.ID, req.Source, req.Members, tier)
 			}
 			return set.SubmitCreate(req.ID, req.Source, req.Members)
 		})
@@ -221,8 +210,8 @@ func (s *Server) handleGroupCreate(w http.ResponseWriter, r *http.Request) {
 		err  error
 	)
 	if req.Backend != "" {
-		pref, _ := backend.ParseTier(req.Backend)
-		info, err = s.doCreateWithBackend(r, req.ID, req.Source, req.Members, pref)
+		tier, _ := backend.ParseTier(req.Backend)
+		info, err = s.doCreateWithBackend(r, req.ID, req.Source, req.Members, tier)
 	} else {
 		info, err = s.doCreate(r, req.ID, req.Source, req.Members)
 	}
@@ -453,7 +442,7 @@ func (s *Server) tierCost(tier string) *cost.Row {
 		return nil
 	}
 	t, err := backend.ParseTier(tier)
-	if err != nil || t == backend.TierAuto {
+	if err != nil {
 		return nil
 	}
 	b := s.groups.Backends()[t]
@@ -479,32 +468,6 @@ func (s *Server) costJSON(tier string) []byte {
 	return s.costRows[tier]
 }
 
-// SetBackendRequest is the POST /v1/groups/{id}/backend payload.
-type SetBackendRequest struct {
-	Backend string `json:"backend"`
-}
-
-func (r *SetBackendRequest) validate() (fields []FieldError) {
-	if _, err := backend.ParseTier(r.Backend); err != nil {
-		fields = append(fields, FieldError{Field: "backend", Reason: `must be "auto", "brsmn", "feedback", or "permnet"`})
-	}
-	return fields
-}
-
-func (s *Server) handleGroupSetBackend(w http.ResponseWriter, r *http.Request) {
-	var req SetBackendRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	pref, _ := backend.ParseTier(req.Backend)
-	info, err := s.doSetBackend(r, r.PathValue("id"), pref)
-	if err != nil {
-		groupErr(w, err)
-		return
-	}
-	writeData(w, http.StatusOK, info)
-}
-
 // BackendInfo describes one planner tier in the GET /v1/backends reply.
 type BackendInfo struct {
 	Name string `json:"name"`
@@ -518,14 +481,13 @@ type BackendInfo struct {
 
 // BackendsResponse is the GET /v1/backends reply.
 type BackendsResponse struct {
-	N        int                    `json:"n"`
-	Backends []BackendInfo          `json:"backends"`
-	Selector backend.SelectorConfig `json:"selector"`
+	N        int           `json:"n"`
+	Backends []BackendInfo `json:"backends"`
 }
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	bs := s.groups.Backends()
-	resp := BackendsResponse{N: s.groups.N(), Selector: s.groups.SelectorConfig()}
+	resp := BackendsResponse{N: s.groups.N()}
 	for _, t := range backend.Tiers() {
 		b := bs[t]
 		if b == nil {

@@ -15,7 +15,7 @@ var noFollow = &http.Client{
 
 // TestLegacyRedirects pins the deprecation contract on every pre-/v1
 // path: a permanent redirect to the /v1 successor carrying
-// Deprecation: true and a successor-version Link.
+// Deprecation: true, a successor-version Link and the Sunset date.
 func TestLegacyRedirects(t *testing.T) {
 	ts := newGroupServer(t)
 
@@ -59,6 +59,9 @@ func TestLegacyRedirects(t *testing.T) {
 		}
 		if dep := resp.Header.Get("Deprecation"); dep != "true" {
 			t.Errorf("%s %s: Deprecation %q, want \"true\"", tc.method, tc.path, dep)
+		}
+		if sun := resp.Header.Get("Sunset"); sun != "Fri, 30 Apr 2027 00:00:00 GMT" {
+			t.Errorf("%s %s: Sunset %q, want the RFC 8594 date of 30 April 2027", tc.method, tc.path, sun)
 		}
 		link := resp.Header.Get("Link")
 		if !strings.Contains(link, `rel="successor-version"`) || !strings.Contains(link, "</v1/") {

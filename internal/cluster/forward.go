@@ -442,7 +442,7 @@ func hopCount(r *http.Request) int {
 }
 
 // groupIDFromPath extracts the group ID from group-scoped /v1 paths:
-// /v1/groups/{id}, /v1/groups/{id}/join, /leave, /plan, /backend. The
+// /v1/groups/{id}, /v1/groups/{id}/join, /leave, /plan. The
 // collection endpoints (/v1/groups itself) and everything else return
 // ok=false.
 func groupIDFromPath(path string) (string, bool) {
@@ -453,7 +453,7 @@ func groupIDFromPath(path string) (string, bool) {
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		id, action := rest[:i], rest[i+1:]
 		switch action {
-		case "join", "leave", "plan", "backend":
+		case "join", "leave", "plan":
 			return id, id != ""
 		}
 		return "", false

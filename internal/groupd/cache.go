@@ -11,10 +11,13 @@ import (
 // specific backend tier. Generations are monotonic, so a key can never
 // refer to two different memberships; a policy change (fault localized,
 // quarantine grown) bumps pv, so degraded plans never shadow healthy
-// ones; a tier transition changes bk, so the group's first Plan on the
-// new tier replans through the normal miss path and plans from
-// different backends never shadow each other. The cache holds at most
-// one key per group, so a superseded key is replaced, not retained.
+// ones; bk keeps a plan from one tier from being served for a group on
+// another. A group keeps its tier for life, but a restored or migrated
+// group takes the receiving manager's default tier, while snapshots and
+// migrations carry BRSMN-tier plans only: without bk, a BRSMN plan
+// seeded from a snapshot would be served for a group now on feedback.
+// The cache holds at most one key per group, so a superseded key is
+// replaced, not retained.
 type planKey struct {
 	id  string
 	gen uint64

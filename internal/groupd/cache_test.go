@@ -211,22 +211,38 @@ func TestManagerCacheOneEntryPerGroup(t *testing.T) {
 }
 
 // TestDeletedGroupLeavesNoEntry checks a deleted group's entry goes
-// whatever key it was held under — here a tier other than the group's
-// serving tier at delete time — so a new group under the same ID, whose
-// generations restart at 1, caches its plans again.
+// whatever key it was held under — here the BRSMN key a migrated plan
+// is seeded under, while the group is served on the manager's feedback
+// default — so a new group under the same ID, whose generations restart
+// at 1, caches its plans again.
 func TestDeletedGroupLeavesNoEntry(t *testing.T) {
-	m := newTestManager(t, Config{N: 16})
-	mustCreate(t, m, "g", 2, []int{3})
+	src := newTestManager(t, Config{N: 16})
+	mustCreate(t, src, "g", 2, []int{3})
 	for d := 4; d < 9; d++ {
-		if _, err := m.Join("g", d); err != nil {
+		if _, err := src.Join("g", d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Plan("g"); err != nil {
+	if _, err := src.Plan("g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SetBackend("g", backend.TierPermNet); err != nil {
+	gs, plan, err := src.ExportGroup("g")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if gs.Gen <= 1 || plan == nil {
+		t.Fatalf("export: gen=%d plan=%v, want gen > 1 with a warm plan", gs.Gen, plan != nil)
+	}
+
+	m := newTestManager(t, Config{N: 16, DefaultBackend: backend.TierFeedback})
+	if err := m.Install(gs, plan); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := m.Get("g"); err != nil || info.Backend != backend.TierFeedback.String() {
+		t.Fatalf("installed group: backend=%q err=%v, want feedback", info.Backend, err)
+	}
+	if st := m.CacheStats(); st.Size != 1 {
+		t.Fatalf("install seeded %d entries, want 1", st.Size)
 	}
 	if err := m.Delete("g"); err != nil {
 		t.Fatal(err)

@@ -114,18 +114,10 @@ type Config struct {
 	// on the fabric (faultd Fault.String() form); snapshots carry them
 	// so believed faults survive a restart alongside the groups.
 	FaultSpecs func() []string
-	// DefaultBackend is the backend preference assigned to groups
-	// created without one: a concrete tier pins them there,
-	// backend.TierAuto (the zero value) defers to TierAuto below.
+	// DefaultBackend is the tier of groups created without one, and of
+	// every group a snapshot restores or a migration installs. The zero
+	// value is backend.TierBRSMN.
 	DefaultBackend backend.Tier
-	// TierAuto, when DefaultBackend is backend.TierAuto, makes the
-	// selector tier new groups from observed workload; false (the
-	// default) keeps every group on the full BRSMN, preserving the
-	// pre-tiering behavior exactly.
-	TierAuto bool
-	// Selector sets the auto-tiering thresholds; zero fields take the
-	// defaults in backend.DefaultSelectorConfig.
-	Selector backend.SelectorConfig
 }
 
 func (c *Config) applyDefaults() {
@@ -154,10 +146,8 @@ type session struct {
 	group *brsmn.Group
 	gen   uint64
 	gone  bool // deleted from the registry while a caller still holds it
-	// tier is the group's backend-tiering state (serving tier,
-	// preference, churn EWMA, hit profile, hysteresis ladder), covered
-	// by mu like the rest of the session.
-	tier backend.GroupState
+	// tier is the backend the group was created on; it never changes.
+	tier backend.Tier
 	// chg is a ring of the session's most recent membership changes,
 	// indexed by the generation each produced (chg[gen%chgRing]); the
 	// plan-patch path replays it to roll a retained route forward.
@@ -182,7 +172,6 @@ type Manager struct {
 	// capability/cost metadata only — BRSMN routing stays on nw so the
 	// traced, pooled, and patched paths keep working unchanged.
 	backends map[backend.Tier]backend.Backend
-	sel      *backend.Selector
 
 	nextID  atomic.Uint64
 	pending atomic.Int64 // membership changes since the last epoch began
@@ -237,7 +226,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.shards[i] = &shard{groups: make(map[string]*session)}
 	}
 	m.tracer = cfg.Tracer
-	m.sel = backend.NewSelector(cfg.Selector)
 	m.backends, err = backend.All(cfg.N, cfg.Engine)
 	if err != nil {
 		return nil, err
@@ -310,27 +298,10 @@ func (m *Manager) noteChange(n int) {
 	}
 }
 
-// defaultPref resolves the backend preference for groups created
-// without one: a concrete Config.DefaultBackend wins, otherwise
-// Config.TierAuto selects between selector-driven tiering and the
-// pre-tiering constant (full BRSMN).
-func (m *Manager) defaultPref() backend.Tier {
-	if m.cfg.DefaultBackend != backend.TierAuto {
-		return m.cfg.DefaultBackend
-	}
-	if m.cfg.TierAuto {
-		return backend.TierAuto
-	}
-	return backend.TierBRSMN
-}
-
 // Backends returns the manager's backend per tier (the BRSMN entry is
 // metadata-only; its routing runs on the manager's own network). The
 // map is shared — callers must not mutate it.
 func (m *Manager) Backends() map[backend.Tier]backend.Backend { return m.backends }
-
-// SelectorConfig returns the effective auto-tiering thresholds.
-func (m *Manager) SelectorConfig() backend.SelectorConfig { return m.sel.Config() }
 
 // GroupInfo is the full externally visible state of one group.
 type GroupInfo struct {
@@ -340,10 +311,8 @@ type GroupInfo struct {
 	Size     int    `json:"size"`
 	Members  []int  `json:"members"`
 	Sequence string `json:"sequence"`
-	// Backend is the tier the group is currently served on; BackendPref
-	// is the requested preference ("auto" delegates to the selector).
-	Backend     string `json:"backend"`
-	BackendPref string `json:"backendPref"`
+	// Backend is the tier the group is served on.
+	Backend string `json:"backend"`
 }
 
 // Update is the O(log n) acknowledgement of a join/leave: enough for the
@@ -359,15 +328,14 @@ type Update struct {
 // memberships may overlap freely across groups — the epoch scheduler
 // separates conflicting groups into rounds.
 func (m *Manager) Create(id string, source int, members []int) (GroupInfo, error) {
-	return m.CreateWithBackend(id, source, members, m.defaultPref())
+	return m.CreateWithBackend(id, source, members, m.cfg.DefaultBackend)
 }
 
-// CreateWithBackend registers a new group with an explicit backend
-// preference: a concrete tier pins the group there, backend.TierAuto
-// lets the selector tier it from observed workload. The preference is
-// serving state, not durable state — a restart re-resolves it from the
-// manager's configured default.
-func (m *Manager) CreateWithBackend(id string, source int, members []int, pref backend.Tier) (GroupInfo, error) {
+// CreateWithBackend registers a new group served by the given tier for
+// its lifetime. The tier is serving state, not durable state: a restart
+// or a migration puts the group on the receiving manager's
+// Config.DefaultBackend.
+func (m *Manager) CreateWithBackend(id string, source int, members []int, tier backend.Tier) (GroupInfo, error) {
 	if m.closed.Load() {
 		return GroupInfo{}, ErrClosed
 	}
@@ -383,8 +351,7 @@ func (m *Manager) CreateWithBackend(id string, source int, members []int, pref b
 			return GroupInfo{}, fmt.Errorf("groupd: initial member %d: %w", d, err)
 		}
 	}
-	s := &session{id: id, group: g, gen: 1}
-	m.sel.Init(&s.tier, pref, g.Len(), 1)
+	s := &session{id: id, group: g, gen: 1, tier: tier}
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	if _, ok := sh.groups[id]; ok {
@@ -449,39 +416,10 @@ func (m *Manager) mutate(id string, d int, join bool) (Update, error) {
 	s.gen++
 	s.chg[s.gen%chgRing] = memberChange{gen: s.gen, dest: int32(d), join: join}
 	u := Update{ID: s.id, Gen: s.gen, Size: s.group.Len()}
-	tier := s.tier.Tier
 	s.mu.Unlock()
-	m.cache.invalidate(planKey{id: id, gen: old, pv: m.policyVersion(), bk: uint8(tier)})
+	m.cache.invalidate(planKey{id: id, gen: old, pv: m.policyVersion(), bk: uint8(s.tier)})
 	m.noteChange(1)
 	return u, nil
-}
-
-// SetBackend changes the group's backend preference. A concrete tier
-// takes effect immediately — the next Plan misses into the new tier's
-// cache key and replans there through the normal epoch path — while
-// backend.TierAuto hands the group to the selector, which keeps the
-// current tier until observations move it. Like the creation-time
-// preference, this is serving state, not durable state.
-func (m *Manager) SetBackend(id string, pref backend.Tier) (GroupInfo, error) {
-	if m.closed.Load() {
-		return GroupInfo{}, ErrClosed
-	}
-	s, err := m.sessionFor(id)
-	if err != nil {
-		return GroupInfo{}, err
-	}
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return GroupInfo{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	changed := m.sel.SetPref(&s.tier, pref)
-	tier := s.tier.Tier
-	s.mu.Unlock()
-	if changed {
-		m.noteBackendTransition(tier)
-	}
-	return s.info(), nil
 }
 
 // Delete unregisters the group and drops its cached plan.
@@ -525,14 +463,13 @@ func (s *session) info() GroupInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return GroupInfo{
-		ID:          s.id,
-		Source:      s.group.Source(),
-		Gen:         s.gen,
-		Size:        s.group.Len(),
-		Members:     s.group.Members(),
-		Sequence:    s.group.Sequence(),
-		Backend:     s.tier.Tier.String(),
-		BackendPref: s.tier.Pref.String(),
+		ID:       s.id,
+		Source:   s.group.Source(),
+		Gen:      s.gen,
+		Size:     s.group.Len(),
+		Members:  s.group.Members(),
+		Sequence: s.group.Sequence(),
+		Backend:  s.tier.String(),
 	}
 }
 
@@ -595,28 +532,16 @@ func (m *Manager) Plan(id string) (PlanInfo, error) {
 		return PlanInfo{}, err
 	}
 	// Fast path: an unchanged group needs only its generation and tier
-	// to hit the cache — no O(n) member materialization. The lookup
-	// doubles as the selector's observation point: churn is fed from the
-	// generation counter, and the hit or miss lands in the group's
-	// plan-cache profile.
+	// to hit the cache — no O(n) member materialization.
 	s.mu.Lock()
-	gen := s.gen
-	if m.sel.Observe(&s.tier, s.group.Len(), gen) {
-		m.noteBackendTransition(s.tier.Tier)
-	}
-	tier := s.tier.Tier
+	gen, tier := s.gen, s.tier
 	s.mu.Unlock()
 	if e, ok := m.cache.get(planKey{id: id, gen: gen, pv: m.policyVersion(), bk: uint8(tier)}); ok {
-		s.mu.Lock()
-		m.sel.RecordLookup(&s.tier, true)
-		s.mu.Unlock()
 		return PlanInfo{ID: id, Gen: gen, Cached: true, Columns: e.columns, Blob: e.blob,
 			Backend: tier.String(), Passes: e.passes}, nil
 	}
 	s.mu.Lock()
-	m.sel.RecordLookup(&s.tier, false)
 	gen = s.gen // may have moved past the missed generation; key consistently
-	tier = s.tier.Tier
 	source := s.group.Source()
 	members := s.group.Members()
 	chg := s.chg
@@ -807,7 +732,7 @@ func (m *Manager) snapshot() []groupSnapshot {
 				source:  s.group.Source(),
 				gen:     s.gen,
 				members: s.group.Members(),
-				tier:    s.tier.Tier,
+				tier:    s.tier,
 			})
 			s.mu.Unlock()
 		}

@@ -45,11 +45,10 @@ type managerMetrics struct {
 	patchDelta  *obs.Histogram
 
 	// Per-backend-tier accounting, indexed by backend.Tier numeric
-	// value (index 0, TierAuto, stays nil).
-	backendRoutes   [4]*obs.Counter
-	backendSwitches [4]*obs.Counter
-	backendDepth    [4]*obs.Counter
-	backendTrans    [4]*obs.Counter
+	// value.
+	backendRoutes   [3]*obs.Counter
+	backendSwitches [3]*obs.Counter
+	backendDepth    [3]*obs.Counter
 }
 
 // registerMetrics wires the manager's series into reg and returns the
@@ -95,8 +94,6 @@ func (m *Manager) registerMetrics(reg *obs.Registry) *managerMetrics {
 			"Switch settings programmed per backend tier, summed over computed plans.")
 		met.backendDepth[t] = reg.Counter(lbl(`brsmn_backend_depth_total{backend="`+name+`"}`),
 			"Column depth traversed per backend tier, summed over computed plans (multi-pass tiers count every pass).")
-		met.backendTrans[t] = reg.Counter(lbl(`brsmn_backend_transitions_total{backend="`+name+`"}`),
-			"Backend tier transitions, labelled by the tier transitioned to.")
 	}
 
 	cacheOp := func(name string, read func(CacheStats) uint64) {
@@ -175,13 +172,4 @@ func (m *Manager) noteBackendRoute(t backend.Tier, columns int) {
 	m.met.backendRoutes[t].Inc()
 	m.met.backendSwitches[t].Add(uint64(columns) * uint64(m.cfg.N/2))
 	m.met.backendDepth[t].Add(uint64(columns))
-}
-
-// noteBackendTransition accounts one tier transition under the tier
-// transitioned to.
-func (m *Manager) noteBackendTransition(t backend.Tier) {
-	if m.met == nil || int(t) >= len(m.met.backendTrans) || m.met.backendTrans[t] == nil {
-		return
-	}
-	m.met.backendTrans[t].Inc()
 }

@@ -60,9 +60,9 @@ func (m *Manager) ExportGroup(id string) (store.GroupState, *store.PlanState, er
 // peekPlan harvests the warm healthy-fabric (pv 0) BRSMN-tier plan for
 // (id, gen) without skewing cache stats or recency — the same entry a
 // snapshot would carry. Plans from the other tiers don't travel: the
-// backend preference is serving state, so a migrated or recovered
-// group starts on the destination's default tier and BRSMN is the only
-// tier guaranteed to hit again.
+// tier is serving state, so a migrated or recovered group starts on the
+// destination's default tier, and the plan hits again only when that
+// is BRSMN, the default.
 func (m *Manager) peekPlan(id string, gen uint64) *store.PlanState {
 	if e, ok := m.cache.peek(planKey{id: id, gen: gen, pv: 0, bk: uint8(backend.TierBRSMN)}); ok {
 		return &store.PlanState{ID: id, Gen: gen, Columns: e.columns, Blob: e.blob}
@@ -123,8 +123,7 @@ func (m *Manager) Install(g store.GroupState, plan *store.PlanState) error {
 		sh.mu.Unlock()
 		return err
 	}
-	s := &session{id: g.ID, group: ng, gen: gen}
-	m.sel.Init(&s.tier, m.defaultPref(), ng.Len(), gen)
+	s := &session{id: g.ID, group: ng, gen: gen, tier: m.cfg.DefaultBackend}
 	sh.groups[g.ID] = s
 	sh.mu.Unlock()
 	if plan != nil {

@@ -138,8 +138,8 @@ func (m *Manager) snapshotToStore() (store.SnapshotInfo, error) {
 		snap.Groups = append(snap.Groups, store.GroupState{ID: sn.id, Source: sn.source, Gen: sn.gen, Members: sn.members})
 		// Persist only healthy-fabric (pv 0) BRSMN-tier plans for the
 		// current generation: a fresh boot starts at policy version 0
-		// with tier state re-resolved from config, so these are exactly
-		// the entries that can hit again.
+		// with every group on the configured default tier, so these are
+		// the entries that can hit again (under the default, BRSMN).
 		if e, ok := m.cache.peek(planKey{id: sn.id, gen: sn.gen, pv: 0, bk: uint8(backend.TierBRSMN)}); ok {
 			snap.Plans = append(snap.Plans, store.PlanState{ID: sn.id, Gen: sn.gen, Columns: e.columns, Blob: e.blob})
 		}
@@ -223,8 +223,7 @@ func (m *Manager) restoreGroup(id string, source int, gen uint64, members []int)
 	if gen == 0 {
 		gen = 1
 	}
-	s := &session{id: id, group: g, gen: gen}
-	m.sel.Init(&s.tier, m.defaultPref(), g.Len(), gen)
+	s := &session{id: id, group: g, gen: gen, tier: m.cfg.DefaultBackend}
 	m.shardFor(id).groups[id] = s
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"brsmn/internal/backend"
 	"brsmn/internal/store"
 )
 
@@ -206,6 +207,71 @@ func TestPersistWarmCacheAcrossRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p1.Blob, p2.Blob) || p1.Columns != p2.Columns {
 		t.Fatal("recovered plan differs from the pre-restart plan")
+	}
+}
+
+// TestPersistRestoreUnderOtherDefaultBackend restores a snapshot taken
+// with a brsmn group into a manager whose default tier is feedback. The
+// group takes the new default, and its first plan is a feedback miss:
+// the snapshot's brsmn plan, seeded into the cache under the brsmn
+// tier's key, must not be served for it.
+func TestPersistRestoreUnderOtherDefaultBackend(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.OpenFile(dir, store.FileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := newDurableManager(t, st1, nil)
+	if _, err := m1.Create("conf", 2, []int{3, 4, 7}); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := m1.Plan("conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.Backend != "brsmn" {
+		t.Fatalf("zero-config plan on %q, want brsmn", p1.Backend)
+	}
+	if _, err := m1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.OpenFile(dir, store.FileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := newDurableManager(t, st2, func(c *Config) { c.DefaultBackend = backend.TierFeedback })
+	defer m2.Close()
+	if st := m2.CacheStats(); st.Size != 1 {
+		t.Fatalf("restored cache holds %d plans, want the snapshot's one", st.Size)
+	}
+	info, err := m2.Get("conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Backend != "feedback" {
+		t.Fatalf("restored group on %q, want feedback", info.Backend)
+	}
+	p2, err := m2.Plan("conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2.Cached || p2.Backend != "feedback" || p2.Passes != 7 {
+		t.Fatalf("first plan after restore: cached=%v backend=%q passes=%d, want a 7-pass feedback miss",
+			p2.Cached, p2.Backend, p2.Passes)
+	}
+	if reflect.DeepEqual(p2.Blob, p1.Blob) {
+		t.Fatal("restored feedback group was served the snapshot's brsmn program")
+	}
+	p3, err := m2.Plan("conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p3.Cached || p3.Backend != "feedback" || !reflect.DeepEqual(p3.Blob, p2.Blob) {
+		t.Fatalf("second plan: cached=%v backend=%q, want the feedback plan as a hit", p3.Cached, p3.Backend)
 	}
 }
 

@@ -9,89 +9,58 @@ import (
 	"brsmn/internal/obs"
 )
 
-// TestTierAutoWorkloadPlacement is the acceptance workload for the
-// backend tiers: under -tier-auto semantics, a tiny group lands on
-// permnet, a small one on brsmn, a large stable one on feedback, and a
-// large churny one transitions (through hysteresis) back to brsmn. The
-// placement is asserted twice — through GroupInfo.Backend and through
-// the brsmn_backend_routes_total{backend=...} exposition.
-func TestTierAutoWorkloadPlacement(t *testing.T) {
+// TestBackendPinnedAtCreate checks that a group is served by the tier
+// it was created with, before and after membership changes: a zero
+// Config puts groups on brsmn, CreateWithBackend pins feedback and
+// permnet, and each tier's computed plans are counted under its own
+// brsmn_backend_routes_total series.
+func TestBackendPinnedAtCreate(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newTestManager(t, Config{N: 256, TierAuto: true, Metrics: reg})
+	m := newTestManager(t, Config{N: 64, Metrics: reg})
 
-	span := func(lo, n int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = lo + i
-		}
-		return out
-	}
-
-	// Tiny (fanout 2 ≤ TinyMaxFanout): permutation-network unicast tier.
-	if _, err := m.Create("tiny", 0, span(1, 2)); err != nil {
+	if _, err := m.Create("default", 2, []int{3, 4, 7, 9}); err != nil {
 		t.Fatal(err)
 	}
-	// Small (16 < LargeMinSize): the full BRSMN.
-	if _, err := m.Create("small", 0, span(8, 16)); err != nil {
-		t.Fatal(err)
-	}
-	// Large and never mutated: feedback network, multi-pass amortized.
-	if _, err := m.Create("stable", 0, span(100, 100)); err != nil {
-		t.Fatal(err)
-	}
-	// Large but churning every plan: the selector must walk it back to
-	// the patchable BRSMN once the churn EWMA crosses ChurnMax and the
-	// decision survives the hysteresis band.
-	if _, err := m.Create("churny", 0, span(100, 100)); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, id := range []string{"tiny", "small", "stable", "churny"} {
-		for i := 0; i < 3; i++ { // miss, then warm hits
-			if _, err := m.Plan(id); err != nil {
-				t.Fatalf("Plan(%s): %v", id, err)
-			}
-		}
-	}
-	cfg := m.SelectorConfig()
-	for i := 0; i < cfg.Hysteresis+1; i++ {
-		if _, err := m.Join("churny", 200+i); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Plan("churny"); err != nil {
+	for _, tier := range []backend.Tier{backend.TierFeedback, backend.TierPermNet} {
+		if _, err := m.CreateWithBackend(tier.String(), 2, []int{3, 4, 7, 9}, tier); err != nil {
 			t.Fatal(err)
 		}
 	}
-
 	want := map[string]backend.Tier{
-		"tiny":   backend.TierPermNet,
-		"small":  backend.TierBRSMN,
-		"stable": backend.TierFeedback,
-		"churny": backend.TierBRSMN,
+		"default":  backend.TierBRSMN,
+		"feedback": backend.TierFeedback,
+		"permnet":  backend.TierPermNet,
 	}
 	for id, tier := range want {
-		info, err := m.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Backend != tier.String() {
-			t.Errorf("group %s on backend %q, want %q", id, info.Backend, tier)
-		}
-		if info.BackendPref != backend.TierAuto.String() {
-			t.Errorf("group %s pref %q, want auto", id, info.BackendPref)
-		}
-		p, err := m.Plan(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Backend != tier.String() {
-			t.Errorf("plan for %s reports backend %q, want %q", id, p.Backend, tier)
-		}
-		if tier == backend.TierBRSMN && p.Passes != 1 {
-			t.Errorf("plan for %s reports %d passes, want 1", id, p.Passes)
-		}
-		if tier != backend.TierBRSMN && p.Passes < 1 {
-			t.Errorf("plan for %s reports %d passes", id, p.Passes)
+		for round := 0; round < 3; round++ {
+			info, err := m.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Backend != tier.String() {
+				t.Errorf("round %d: group %s on backend %q, want %q", round, id, info.Backend, tier)
+			}
+			for i := 0; i < 2; i++ { // miss, then a warm hit
+				p, err := m.Plan(id)
+				if err != nil {
+					t.Fatalf("Plan(%s): %v", id, err)
+				}
+				if p.Backend != tier.String() {
+					t.Errorf("round %d: plan for %s reports backend %q, want %q", round, id, p.Backend, tier)
+				}
+				if tier == backend.TierBRSMN && p.Passes != 1 {
+					t.Errorf("plan for %s reports %d passes, want 1", id, p.Passes)
+				}
+				if p.Passes < 1 {
+					t.Errorf("plan for %s reports %d passes", id, p.Passes)
+				}
+				if p.Cached != (i == 1) {
+					t.Errorf("round %d fetch %d of %s: cached=%v", round, i, id, p.Cached)
+				}
+			}
+			if _, err := m.Join(id, 20+round); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -101,63 +70,14 @@ func TestTierAutoWorkloadPlacement(t *testing.T) {
 	}
 	text := b.String()
 	for _, tier := range backend.Tiers() {
-		if !strings.Contains(text, fmt.Sprintf(`brsmn_backend_routes_total{backend=%q}`, tier)) {
-			t.Errorf("no routes recorded for backend %s:\n%s", tier, text)
+		line := fmt.Sprintf("brsmn_backend_routes_total{backend=%q} 3\n", tier)
+		if !strings.Contains(text, line) {
+			t.Errorf("want %q in the exposition:\n%s", line, text)
 		}
-	}
-	if !strings.Contains(text, `brsmn_backend_transitions_total{backend="brsmn"}`) {
-		t.Error("churny group's transition to brsmn not recorded")
 	}
 	for _, family := range []string{"brsmn_backend_switches_total", "brsmn_backend_depth_total"} {
 		if !strings.Contains(text, family) {
 			t.Errorf("series %s missing from exposition", family)
 		}
-	}
-}
-
-// TestSetBackendRepins verifies the explicit repin path: a concrete
-// preference takes effect on the next plan (replanned through the
-// re-keyed cache miss), and switching back to auto re-enters selection
-// without snapping the serving tier.
-func TestSetBackendRepins(t *testing.T) {
-	m := newTestManager(t, Config{N: 64})
-
-	if _, err := m.Create("conf", 2, []int{3, 4, 7, 9}); err != nil {
-		t.Fatal(err)
-	}
-	info, err := m.Get("conf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero config (no TierAuto, no DefaultBackend): pre-tiering
-	// behavior, pinned to brsmn.
-	if info.Backend != "brsmn" || info.BackendPref != "brsmn" {
-		t.Fatalf("zero-config group on %s/%s, want brsmn/brsmn", info.Backend, info.BackendPref)
-	}
-
-	if info, err = m.SetBackend("conf", backend.TierFeedback); err != nil {
-		t.Fatal(err)
-	}
-	if info.Backend != "feedback" {
-		t.Fatalf("after repin, backend %q", info.Backend)
-	}
-	p, err := m.Plan("conf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Backend != "feedback" {
-		t.Errorf("plan after repin on %q, want feedback", p.Backend)
-	}
-
-	// Back to auto: serving tier holds until observations move it.
-	if info, err = m.SetBackend("conf", backend.TierAuto); err != nil {
-		t.Fatal(err)
-	}
-	if info.Backend != "feedback" || info.BackendPref != "auto" {
-		t.Errorf("after auto repin: %s/%s, want feedback/auto", info.Backend, info.BackendPref)
-	}
-
-	if _, err := m.SetBackend("nope", backend.TierBRSMN); err == nil {
-		t.Error("SetBackend on a missing group succeeded")
 	}
 }

@@ -76,6 +76,11 @@ type RouteBenchReport struct {
 // on `workers` workers, the scalar reference kernels on the same
 // reused planner, and single-membership plan patching against a dense
 // retained route ("delta-churn").
+//
+// core.NewPlanner caps the fork width at GOMAXPROCS, so the parallel
+// regime records min(workers, GOMAXPROCS) as its workers and is left
+// out when that is below 2: on one schedulable CPU it would measure the
+// sequential planner under another name.
 func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, error) {
 	if trials < 1 {
 		trials = 1
@@ -144,20 +149,22 @@ func RouteBench(n, trials int, seed int64, workers int) (*RouteBenchReport, erro
 	}
 	rep.Regimes = append(rep.Regimes, planner)
 
-	plp, err := core.NewPlanner(n, rbn.Engine{Workers: workers})
-	if err != nil {
-		return nil, err
+	if width := min(workers, rep.GoMaxProcs); width >= 2 {
+		plp, err := core.NewPlanner(n, rbn.Engine{Workers: width})
+		if err != nil {
+			return nil, err
+		}
+		i = 0
+		par, err := measure("planner-parallel", width, trials, func() error {
+			_, err := plp.Route(next(i))
+			i++
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		rep.Regimes = append(rep.Regimes, par)
 	}
-	i = 0
-	par, err := measure("planner-parallel", workers, trials, func() error {
-		_, err := plp.Route(next(i))
-		i++
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Regimes = append(rep.Regimes, par)
 
 	pls, err := core.NewPlanner(n, rbn.Engine{Workers: 1, Scalar: true})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // TierMeasurement is one (backend, workload) cell of the tiers
-// benchmark: the warm route latency plus what the produced program
-// spends — switch columns (depth), switch count, and injection passes.
+// benchmark: the warm route latency, what the produced program spends,
+// and what the fabric costs to build.
 type TierMeasurement struct {
 	Backend     string `json:"backend"`
 	Workload    string `json:"workload"`
@@ -22,14 +22,26 @@ type TierMeasurement struct {
 	AllocsPerOp uint64 `json:"allocsPerOp"`
 	BytesPerOp  uint64 `json:"bytesPerOp"`
 	Passes      int    `json:"passes"`
-	Depth       int    `json:"depth"`
-	Switches    int    `json:"switches"`
+	// Depth is the program's column count. For feedback it is
+	// 2 log2(n) (log2(n) - 1) + 1 (181 at n = 1024), while
+	// cost.Feedback's Depth is log2(n) (2 log2(n) - 1) (190): the cost
+	// row counts every stage of the last pass a cell traverses, and the
+	// program keeps only that pass's delivery column, the log2(n) - 1
+	// stages above it being set parallel.
+	Depth int `json:"depth"`
+	// SwitchSteps is Depth x n/2: the switch settings the program
+	// loads, which is what serving it costs.
+	SwitchSteps int `json:"switchSteps"`
+	// HardwareSwitches is the backend's cost row Switches: the switches
+	// the fabric is built from, whatever the program. It is the one
+	// axis feedback wins on (one RBN, reused on every pass).
+	HardwareSwitches int `json:"hardwareSwitches"`
 }
 
 // TiersReport is the machine-readable tiers benchmark behind
-// BENCH_tiers.json: every planner backend routing every workload class
-// the selector tiers between, so the crossover the auto-tiering policy
-// exploits is visible in one table.
+// BENCH_tiers.json: every planner backend routing a tiny and a dense
+// workload, so the price of pinning a group to each backend is visible
+// in one table.
 type TiersReport struct {
 	Experiment string            `json:"experiment"`
 	N          int               `json:"n"`
@@ -39,9 +51,9 @@ type TiersReport struct {
 	Tiers      []TierMeasurement `json:"tiers"`
 }
 
-// TiersBench routes two workload classes — a tiny fanout-2 group (the
-// permnet sweet spot) and a dense random multicast (the brsmn/feedback
-// regime) — through all three planner backends at size n, measuring the
+// TiersBench routes two workload classes — a tiny fanout-2 group (two
+// permnet passes) and a dense random multicast — through all three
+// planner backends at size n, measuring the
 // warm route path of each. Programs are recomputed every trial; "warm"
 // means the backend's pools and arenas are at steady state, the serving
 // layer's plan cache is deliberately out of the picture.
@@ -50,8 +62,7 @@ func TiersBench(n, trials int, seed int64) (*TiersReport, error) {
 		trials = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// One source, fanout 2, everyone else idle — the group shape the
-	// selector tiers onto permnet.
+	// One source, fanout 2, everyone else idle.
 	tinyDests := make([][]int, n)
 	tinyDests[0] = []int{1, 2}
 	tiny, err := mcast.New(n, tinyDests)
@@ -99,15 +110,16 @@ func TiersBench(n, trials int, seed int64) (*TiersReport, error) {
 				return nil, err
 			}
 			rep.Tiers = append(rep.Tiers, TierMeasurement{
-				Backend:     b.Name(),
-				Workload:    wl.name,
-				GroupSize:   size(wl.a),
-				NsPerOp:     m.NsPerOp,
-				AllocsPerOp: m.AllocsPerOp,
-				BytesPerOp:  m.BytesPerOp,
-				Passes:      r.Passes,
-				Depth:       len(r.Columns),
-				Switches:    len(r.Columns) * n / 2,
+				Backend:          b.Name(),
+				Workload:         wl.name,
+				GroupSize:        size(wl.a),
+				NsPerOp:          m.NsPerOp,
+				AllocsPerOp:      m.AllocsPerOp,
+				BytesPerOp:       m.BytesPerOp,
+				Passes:           r.Passes,
+				Depth:            len(r.Columns),
+				SwitchSteps:      len(r.Columns) * n / 2,
+				HardwareSwitches: b.Cost().Switches,
 			})
 		}
 	}

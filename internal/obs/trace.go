@@ -34,7 +34,11 @@ type RouteTrace struct {
 	// sub-BRSMN recursion.
 	ScatterNs int64 `json:"scatterNs"` // BSN pass 1: α-elimination sweeps
 	QuasiNs   int64 `json:"quasiNs"`   // BSN pass 2: quasisort sweeps
-	AdvanceNs int64 `json:"advanceNs"` // routing-tag sequence advancement
+	// AdvanceNs is routing-tag sequence advancement. The packed planner
+	// folds the advance into the scatter pass (its time lands in
+	// ScatterNs), so it leaves this field 0; the field stays for trace
+	// readers that sum the stages.
+	AdvanceNs int64 `json:"advanceNs"`
 	DeliverNs int64 `json:"deliverNs"` // final 2x2 column realization
 	CloneNs   int64 `json:"cloneNs"`   // result detach (Result.Clone)
 

@@ -110,6 +110,12 @@ func Decode(data []byte) (int, []fabric.Column, error) {
 		return 0, nil, fmt.Errorf("plancodec: column count %d implausible", count)
 	}
 	settingsBytes := (n/2*2 + 7) / 8
+	// Every column occupies 4+settingsBytes bytes: a count the data
+	// cannot hold is rejected before it sizes an allocation.
+	if count > (len(data)-13)/(4+settingsBytes) {
+		return 0, nil, fmt.Errorf("plancodec: %d columns declared, %d bytes hold at most %d",
+			count, len(data)-13, (len(data)-13)/(4+settingsBytes))
+	}
 	pos := 13
 	cols := make([]fabric.Column, 0, count)
 	for ci := 0; ci < count; ci++ {

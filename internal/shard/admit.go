@@ -44,7 +44,6 @@ const (
 	opLeave
 	opDelete
 	opPlan
-	opSetBackend
 	// opBarrier is a no-op used by writers (rebalance, tests) to prove a
 	// shard's queue has drained: once the barrier completes, everything
 	// enqueued before it has executed.
@@ -64,8 +63,6 @@ func (op opKind) String() string {
 		return "delete"
 	case opPlan:
 		return "plan"
-	case opSetBackend:
-		return "setBackend"
 	default:
 		return "barrier"
 	}
@@ -87,10 +84,8 @@ type task struct {
 	dest    int
 	source  int
 	members []int
-	// pref carries a backend preference for opCreate (when hasPref) and
-	// opSetBackend.
-	pref    backend.Tier
-	hasPref bool
+	tier    backend.Tier // the group's tier, for opCreate when pinned
+	pinned  bool         // opCreate names a tier; else the manager's default
 
 	info groupd.GroupInfo
 	up   groupd.Update
@@ -125,7 +120,7 @@ func (s *Set) putTask(t *task) {
 	t.up = groupd.Update{}
 	t.plan = groupd.PlanInfo{}
 	t.err = nil
-	t.pref, t.hasPref = backend.TierAuto, false
+	t.tier, t.pinned = backend.TierBRSMN, false
 	t.tk = nil
 	t.enq, t.drained, t.execed = 0, 0, 0
 	t.state.Store(taskPending)
@@ -327,8 +322,8 @@ func (sh *Shard) finish(t *task) {
 func (sh *Shard) exec(t *task) {
 	switch t.op {
 	case opCreate:
-		if t.hasPref {
-			t.info, t.err = sh.gm.CreateWithBackend(t.id, t.source, t.members, t.pref)
+		if t.pinned {
+			t.info, t.err = sh.gm.CreateWithBackend(t.id, t.source, t.members, t.tier)
 		} else {
 			t.info, t.err = sh.gm.Create(t.id, t.source, t.members)
 		}
@@ -340,7 +335,5 @@ func (sh *Shard) exec(t *task) {
 		t.err = sh.gm.Delete(t.id)
 	case opPlan:
 		t.plan, t.err = sh.gm.Plan(t.id)
-	case opSetBackend:
-		t.info, t.err = sh.gm.SetBackend(t.id, t.pref)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"brsmn/internal/backend"
 	"brsmn/internal/groupd"
 	"brsmn/internal/store"
 )
@@ -372,5 +373,47 @@ func TestSubmitClosed(t *testing.T) {
 	}
 	if _, err := s.SubmitPlan("g"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
+	}
+}
+
+// TestCreateTierDefault checks which tier a created group lands on, on
+// both admission paths: an unpinned create takes the manager's
+// DefaultBackend, a pinned one keeps its tier, and a pooled task that
+// carried a pin does not hand it to the next unpinned create.
+func TestCreateTierDefault(t *testing.T) {
+	s := newTestSet(t, Config{Group: groupd.Config{DefaultBackend: backend.TierFeedback}})
+	ctx := context.Background()
+	submit := func(id string, tier backend.Tier, pinned bool) groupd.GroupInfo {
+		t.Helper()
+		var tk *Ticket
+		var err error
+		if pinned {
+			tk, err = s.SubmitCreateWithBackend(id, 0, []int{1}, tier)
+		} else {
+			tk, err = s.SubmitCreate(id, 0, []int{1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		info, _ := tk.Info()
+		return info
+	}
+	for i := 0; i < 4; i++ {
+		info, err := s.CreateWithBackend(fmt.Sprintf("sp%d", i), 0, []int{1}, backend.TierPermNet)
+		if err != nil || info.Backend != "permnet" {
+			t.Fatalf("pinned create: backend %q err %v, want permnet", info.Backend, err)
+		}
+		if info, err = s.Create(fmt.Sprintf("sd%d", i), 0, []int{1}); err != nil || info.Backend != "feedback" {
+			t.Fatalf("unpinned create: backend %q err %v, want feedback", info.Backend, err)
+		}
+		if info := submit(fmt.Sprintf("ap%d", i), backend.TierBRSMN, true); info.Backend != "brsmn" {
+			t.Fatalf("pinned submit: backend %q, want brsmn", info.Backend)
+		}
+		if info := submit(fmt.Sprintf("ad%d", i), 0, false); info.Backend != "feedback" {
+			t.Fatalf("unpinned submit: backend %q, want feedback", info.Backend)
+		}
 	}
 }

@@ -506,25 +506,26 @@ func (s *Set) Create(id string, source int, members []int) (groupd.GroupInfo, er
 // discarded) and ctx.Err() returned. Same for the other ...Context
 // variants.
 func (s *Set) CreateContext(ctx context.Context, id string, source int, members []int) (groupd.GroupInfo, error) {
-	if id == "" {
-		id = fmt.Sprintf("g%d", s.nextID.Add(1))
-	}
-	t := s.getTask()
-	t.op = opCreate
-	t.id = id
-	t.source = source
-	t.members = members
-	return s.admitInfo(ctx, t)
+	return s.admitInfo(ctx, s.createTask(id, source, members))
 }
 
-// CreateWithBackend registers a group with an explicit backend
-// preference (see groupd.Manager.CreateWithBackend).
-func (s *Set) CreateWithBackend(id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
-	return s.CreateWithBackendContext(context.Background(), id, source, members, pref)
+// CreateWithBackend registers a group pinned to a backend tier
+// (see groupd.Manager.CreateWithBackend).
+func (s *Set) CreateWithBackend(id string, source int, members []int, tier backend.Tier) (groupd.GroupInfo, error) {
+	return s.CreateWithBackendContext(context.Background(), id, source, members, tier)
 }
 
 // CreateWithBackendContext is CreateWithBackend with cancellation.
-func (s *Set) CreateWithBackendContext(ctx context.Context, id string, source int, members []int, pref backend.Tier) (groupd.GroupInfo, error) {
+func (s *Set) CreateWithBackendContext(ctx context.Context, id string, source int, members []int, tier backend.Tier) (groupd.GroupInfo, error) {
+	t := s.createTask(id, source, members)
+	t.tier, t.pinned = tier, true
+	return s.admitInfo(ctx, t)
+}
+
+// createTask builds an opCreate task, auto-assigning an empty ID. It
+// names no tier: unless the caller pins one, the shard's manager
+// applies its own default.
+func (s *Set) createTask(id string, source int, members []int) *task {
 	if id == "" {
 		id = fmt.Sprintf("g%d", s.nextID.Add(1))
 	}
@@ -533,25 +534,7 @@ func (s *Set) CreateWithBackendContext(ctx context.Context, id string, source in
 	t.id = id
 	t.source = source
 	t.members = members
-	t.pref = pref
-	t.hasPref = true
-	return s.admitInfo(ctx, t)
-}
-
-// SetBackend changes the group's backend preference on its owning
-// shard (see groupd.Manager.SetBackend).
-func (s *Set) SetBackend(id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	return s.SetBackendContext(context.Background(), id, pref)
-}
-
-// SetBackendContext is SetBackend with cancellation.
-func (s *Set) SetBackendContext(ctx context.Context, id string, pref backend.Tier) (groupd.GroupInfo, error) {
-	t := s.getTask()
-	t.op = opSetBackend
-	t.id = id
-	t.pref = pref
-	t.hasPref = true
-	return s.admitInfo(ctx, t)
+	return t
 }
 
 // Join admits output d to the group on its owning shard.
@@ -616,11 +599,6 @@ func (s *Set) PlanContext(ctx context.Context, id string) (groupd.PlanInfo, erro
 // backends, so any live manager's table serves.
 func (s *Set) Backends() map[backend.Tier]backend.Backend {
 	return s.shards[0].gm.Backends()
-}
-
-// SelectorConfig returns the effective auto-tiering thresholds.
-func (s *Set) SelectorConfig() backend.SelectorConfig {
-	return s.shards[0].gm.SelectorConfig()
 }
 
 // Get reads the group's state from its owning shard (no admission —
@@ -841,11 +819,8 @@ func (s *Set) rebalanceLocked() error {
 			if to == from {
 				continue
 			}
-			pref, perr := backend.ParseTier(info.BackendPref)
-			if perr != nil {
-				pref = backend.TierAuto
-			}
-			if _, err := to.gm.CreateWithBackend(info.ID, info.Source, info.Members, pref); err != nil {
+			tier, _ := backend.ParseTier(info.Backend) // a Tier's own wire name
+			if _, err := to.gm.CreateWithBackend(info.ID, info.Source, info.Members, tier); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("shard: migrating %q to shard %d: %w", info.ID, to.id, err)
 				}

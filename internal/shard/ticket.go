@@ -344,30 +344,14 @@ func (s *Set) submit(t *task) (*Ticket, error) {
 // SubmitCreate asynchronously registers a group; an empty ID is
 // auto-assigned (and readable from the ticket's Group).
 func (s *Set) SubmitCreate(id string, source int, members []int) (*Ticket, error) {
-	if id == "" {
-		id = fmt.Sprintf("g%d", s.nextID.Add(1))
-	}
-	t := s.getTask()
-	t.op = opCreate
-	t.id = id
-	t.source = source
-	t.members = members
-	return s.submitTask(t)
+	return s.submitTask(s.createTask(id, source, members))
 }
 
-// SubmitCreateWithBackend asynchronously registers a group with an
-// explicit backend preference.
-func (s *Set) SubmitCreateWithBackend(id string, source int, members []int, pref backend.Tier) (*Ticket, error) {
-	if id == "" {
-		id = fmt.Sprintf("g%d", s.nextID.Add(1))
-	}
-	t := s.getTask()
-	t.op = opCreate
-	t.id = id
-	t.source = source
-	t.members = members
-	t.pref = pref
-	t.hasPref = true
+// SubmitCreateWithBackend asynchronously registers a group pinned to a
+// backend tier.
+func (s *Set) SubmitCreateWithBackend(id string, source int, members []int, tier backend.Tier) (*Ticket, error) {
+	t := s.createTask(id, source, members)
+	t.tier, t.pinned = tier, true
 	return s.submitTask(t)
 }
 
